@@ -30,32 +30,106 @@ with ``approx_eps = e > 0`` the pruning threshold shrinks from ``gamma`` to
 ``gamma / (1 + e)``, which guarantees the returned point is within a factor
 ``(1 + e)`` of the true NN distance while pruning more aggressively.
 
-Stage 2 is *batched*: the pruning rules are broadcast over the whole
-``(chunk, n_reps)`` stage-1 distance block, the Claim-2 trim is one
-vectorized ``searchsorted`` per representative, and surviving queries are
-grouped by representative so each representative's trimmed prefix is
-scanned with a single dense ``pairwise`` block (the same matmul-like
-group-by-rep structure as the one-shot search).  This is the paper's core
-argument applied to its own exact algorithm: per-query scalar work
-coalesces into brute-force blocks that run at hardware speed.
+Search is **plan → scan → merge**; single-node search, the sharded server
+and the distributed engine only pick a partition of it.  :meth:`ExactRBC.plan`
+runs stage 1 and all pruning arithmetic once per batch (the rules broadcast
+over the ``(m, n_reps)`` stage-1 block, one vectorized Claim-2
+``searchsorted`` per representative, the seeds, the rule counters);
+:meth:`ExactRBC.scan` runs stage 2 for any subset of query rows and
+representatives, one dense kernel block per trimmed prefix; partials over
+disjoint representative subsets and the plan's seed block (the seeds no
+scanned prefix holds) fold with :func:`~repro.parallel.reduce.merge_topk`.
+
+**Certified survivor threshold.**  On the prepared-operand engine a scanned
+candidate survives if its kernel value is at most a per-row threshold.  A
+pair's Gram value differs between the stage-1 and stage-2 calls by an
+*absolute* rounding error of order ``u (|q|^2 + max |x|^2)``, which no
+relative slack covers next to a representative far from the origin; the
+threshold adds that bound (:func:`_rounding_bound`), so rounding can admit
+an extra survivor but never drop a true neighbor or empty a row.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ..metrics.engine import refine_topk
+from ..metrics.engine import Prepared, refine_topk, rescore_pairs
 from ..parallel.blocking import row_chunks
 from ..parallel.bruteforce import _is_batch, _record_dist_tile, _record_select
 from ..parallel.pool import SerialExecutor
-from ..parallel.reduce import EMPTY_IDX, merge_group_topk, merge_topk, topk_of_block
+from ..parallel.reduce import EMPTY_IDX, merge_group_topk, merge_topk
 from ..runtime.context import ExecContext
 from ..simulator.trace import NULL_RECORDER, Op, TraceRecorder
 from .params import standard_n_reps
 from .rbc import RBCBase, sample_representatives
 from .stats import SearchStats
 
-__all__ = ["ExactRBC"]
+__all__ = ["ExactRBC", "StagePlan"]
+
+
+def _rounding_bound(metric, Qp: Prepared, rows, x_sq_max: float, g):
+    """Bound on ``|computed - exact|`` of one prepared-kernel value for the
+    query rows ``rows``, in the kernel's ranking domain.
+
+    ``4 (d + 2) eps`` is twice the dot-product bound ``2 gamma_{d+2}``
+    (``gamma_n = n u / (1 - n u)``, ``u = eps / 2``); the margin covers
+    rounding the operands to the compute dtype.  Gram-trick metrics
+    (``squared_ok``) carry an absolute error scaled by the norms, the
+    others a relative one at distance scale ``g`` (plus the square-root
+    loss of ``arccos`` near 0 for the angular metric).
+    """
+    rel = 4.0 * (Qp.data.shape[1] + 2) * float(np.finfo(Qp.data.dtype).eps)
+    if metric.squared_ok:
+        return rel * (Qp.sqnorms[rows].astype(np.float64) + x_sq_max)
+    err = rel * g
+    if metric.prepared_kernel == "angular":
+        err = err + np.pi * np.sqrt(rel)
+    return err
+
+
+def _check_query_args(k: int, approx_eps: float) -> None:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if approx_eps < 0:
+        raise ValueError("approx_eps must be >= 0")
+
+
+@dataclass
+class StagePlan:
+    """Stage 1 and the pruning decisions of one exact k-NN batch, built by
+    :meth:`ExactRBC.plan` and only read by :meth:`ExactRBC.scan`, so any
+    partition of its rows and representatives can be scanned concurrently.
+    """
+
+    Qb: object
+    k: int
+    #: ``(m, n_reps)`` stage-1 distances and ``(m,)`` k-th smallest of each
+    #: row (``inf`` when ``n_reps < k``: pruning is then unsound)
+    D_R: np.ndarray
+    gamma: np.ndarray
+    #: ``(m, n_reps)`` survivors of the psi and 3-gamma rules, and the
+    #: Claim-2 prefix length scanned in each list (0 = not scanned)
+    keep: np.ndarray
+    cuts: np.ndarray
+    #: ``(m, k)`` sorted seed block: the k nearest representatives that no
+    #: scanned prefix holds, padded with ``inf`` / ``EMPTY_IDX``
+    seed_d: np.ndarray
+    seed_i: np.ndarray
+    #: rule counters and stage-1 evaluations
+    stats: SearchStats
+    recorder: TraceRecorder = NULL_RECORDER
+    #: engine only: prepared queries, the ``(m,)`` certified survivor
+    #: threshold (ranking domain) and upper bound on the true k-th NN
+    #: distance; grouped quantized scans add float32 queries + code operand
+    Qp: Prepared | None = None
+    thr: np.ndarray | None = None
+    g_up: np.ndarray | None = None
+    Qp_q: Prepared | None = None
+    qop: object = None
+    #: float32 engine: scans over-fetch and re-rank in float64
+    fp32: bool = False
 
 
 class ExactRBC(RBCBase):
@@ -135,7 +209,8 @@ class ExactRBC(RBCBase):
         executor=None,
         ctx: ExecContext | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Exact k-NN (or ``(1 + approx_eps)``-approximate if ``> 0``).
+        """Exact k-NN (or ``(1 + approx_eps)``-approximate if ``> 0``):
+        :meth:`plan`, one :meth:`scan` per row chunk, then the seed merge.
 
         The three rule flags exist for the ablation experiments; with all
         rules disabled the second stage degenerates to full brute force
@@ -147,123 +222,322 @@ class ExactRBC(RBCBase):
 
         Returns ``(dist, idx)`` of shape ``(m, k)``, rows sorted ascending.
         """
-        self._require_built()
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if approx_eps < 0:
-            raise ValueError("approx_eps must be >= 0")
+        _check_query_args(k, approx_eps)
         ctx = self._call_ctx(ctx, recorder=recorder, executor=executor)
+        if self.quantizer is not None and self._engine_active(ctx):
+            qplan = self._quant_plan()
+            Qb = Q if _is_batch(self.metric, Q) else self.metric._as_batch(Q)
+            if qplan.strategy == "flat" and self.metric.length(Qb):
+                return self._query_quant_flat(Qb, k, qplan, ctx.recorder)
+        plan = self.plan(
+            Q,
+            k,
+            use_psi_rule=use_psi_rule,
+            use_3gamma_rule=use_3gamma_rule,
+            use_trim=use_trim,
+            approx_eps=approx_eps,
+            ctx=ctx,
+        )
+        chunks = [slice(*ch) for ch in row_chunks(len(plan.D_R), 256)] or [slice(0, 0)]
+        evals0 = self.metric.counter.n_evals
+        # stage 2 under a process pool would ship the whole index state per
+        # chunk; the batched kernels are BLAS-bound and release the GIL, so
+        # the context degrades that backend to inline execution
+        with ctx.executor_scope(inline_processes=True) as exec_:
+            if len(chunks) == 1 or isinstance(exec_, SerialExecutor):
+                parts = [self.scan(plan, rows) for rows in chunks]
+            else:
+                parts = exec_.map(lambda rows: self.scan(plan, rows), chunks)
+        plan.stats.stage2_evals = self.metric.counter.n_evals - evals0
+        self.last_stats = plan.stats
+        dist, idx = (np.concatenate(p, axis=0) for p in zip(*parts))
+        return merge_topk((dist, idx), (plan.seed_d, plan.seed_i))
+
+    def plan(
+        self,
+        Q,
+        k: int = 1,
+        *,
+        use_psi_rule: bool = True,
+        use_3gamma_rule: bool = True,
+        use_trim: bool = True,
+        approx_eps: float = 0.0,
+        ctx: ExecContext | None = None,
+    ) -> StagePlan:
+        """Stage 1 and every pruning decision for the batch ``Q``: the psi
+        and 3-gamma rules, the Claim-2 trim, the seeds, the rule counters
+        and, on the engine, the certified survivor threshold.  Arguments
+        as for :meth:`query`."""
+        self._require_built()
+        _check_query_args(k, approx_eps)
+        ctx = self._call_ctx(ctx)
+        metric = self.metric
         recorder = ctx.recorder
         dtype = ctx.dtype_or_default
-        stats = SearchStats()
-        nr = self.n_reps
         engine = self._engine_active(ctx)
         fp32 = engine and dtype == "float32"
-
-        Qb = Q if _is_batch(self.metric, Q) else self.metric._as_batch(Q)
-        m = self.metric.length(Qb)
-        stats.n_queries = m
-        if m == 0:
-            self.last_stats = stats
-            return (
-                np.full((0, k), np.inf),
-                np.full((0, k), EMPTY_IDX, dtype=np.int64),
-            )
+        nr = self.n_reps
+        Qb = Q if _is_batch(metric, Q) else metric._as_batch(Q)
+        m = metric.length(Qb)
+        stats = SearchStats(n_queries=m)
 
         qplan = self._quant_plan() if engine else None
-        if qplan is not None and qplan.strategy == "flat":
-            return self._query_quant_flat(Qb, k, qplan, stats, recorder)
-        qop = None
-        Qp_q = None
-        if qplan is not None:
+        qop = Qp_q = None
+        if qplan is not None and qplan.strategy == "grouped":
             # grouped quantized stage 2: the trimmed prefixes are scanned
             # on the float32 decode cache and every survivor is re-ranked
             # in float64, so the answer ids match the unquantized path
             qop = self._quant_operand(qplan.quantizer)
-            Qp_q = self.metric.prepare(Qb, dtype="float32")
-
-        Qp = self.metric.prepare(Qb, dtype=dtype) if engine else None
+            Qp_q = metric.prepare(Qb, dtype="float32")
+            stats.quant = dict(
+                strategy="grouped", quantizer=qplan.quantizer,
+                backend=qplan.backend, code_bytes=int(qop.code_bytes),
+            )
+        Qp = metric.prepare(Qb, dtype=dtype) if engine else None
 
         # ---- stage 1: BF(Q, R) with all distances retained
-        evals0 = self.metric.counter.n_evals
+        evals0 = metric.counter.n_evals
         D_R = self._stage1_distances(Qb, recorder, Qp=Qp)
-        stats.stage1_evals = self.metric.counter.n_evals - evals0
-
         # gamma = distance to the k-th nearest representative (upper bound
         # on the k-th NN distance); inf disables pruning when nr < k.
         if nr >= k:
             gamma = np.partition(D_R, k - 1, axis=1)[:, k - 1]
         else:
             gamma = np.full(m, np.inf)
-        gamma_eff = gamma / (1.0 + approx_eps)
-
-        # ---- pruning + stage 2, parallel over query chunks
+        ge = gamma / (1.0 + approx_eps)
         psi = self.radii
-        rep_owner, rep_pos = self._rep_positions()
+        # relative slack on the pruning bounds in float32 mode (float32
+        # kernels carry ~1e-7 relative error; 1e-4 leaves ample headroom at
+        # negligible extra candidate cost)
+        slack = 1e-4 if fp32 else 0.0
 
+        # ---- rules, broadcast over the whole batch
+        keep = np.ones((m, nr), dtype=bool)
+        if use_psi_rule:
+            # inequality (1): rho(q,r) >= gamma + psi_r  =>  discard
+            tol = slack * (np.abs(D_R) + psi[None, :]) if fp32 else 0.0
+            kept = D_R - psi[None, :] < ge[:, None] + tol
+            stats.pruned_by_psi = int(m * nr - np.count_nonzero(kept))
+            keep &= kept
+        if use_3gamma_rule:
+            # inequality (2) via Lemma 1
+            tol = 4.0 * slack * np.abs(D_R) if fp32 else 0.0
+            kept = D_R <= 3.0 * gamma[:, None] + tol
+            stats.pruned_by_3gamma = int(np.count_nonzero(keep & ~kept))
+            keep &= kept
+        if recorder.enabled:
+            with recorder.phase("exact:stage2"):
+                recorder.record(
+                    Op(kind="ewise", flops=4.0 * nr * m, bytes=8.0 * nr * m,
+                       tag="exact:prune")
+                )
+
+        # ---- Claim-2 trim: rho(x, r) <= rho(q, r) + gamma bounds a sorted
+        # prefix; one vectorized searchsorted per surviving representative
+        cuts = np.zeros((m, nr), dtype=np.int64)
+        lists, list_dists = self.lists, self.list_dists
+        for j in np.flatnonzero(keep.any(axis=0)):
+            size = lists[j].size
+            rows = np.flatnonzero(keep[:, j])
+            if size and use_trim:
+                bound = (D_R[rows, j] + ge[rows]) * (1.0 + slack)
+                cut = np.searchsorted(list_dists[j], bound, side="right")
+                stats.trimmed_by_4gamma += int(rows.size * size - cut.sum())
+                cuts[rows, j] = cut
+            else:
+                cuts[rows, j] = size
+
+        # Seed with the k nearest representatives: they are database points
+        # whose distances are already known (stage 1) to be <= gamma, which
+        # keeps the answer exact even when a boundary tie in rule (1)
+        # discards a representative's own singleton list.  A seed inside a
+        # scanned prefix is left to the scan, so no candidate repeats.
+        kk = min(k, nr)
+        seed_cols = np.argpartition(D_R, kk - 1, axis=1)[:, :kk]
+        ri = np.arange(m)[:, None]
+        rep_owner, rep_pos = self._rep_positions()
+        so = rep_owner[seed_cols]
+        scanned = (so >= 0) & (rep_pos[seed_cols] < cuts[ri, np.maximum(so, 0)])
+        stats.candidates_examined = int(cuts.sum() + np.count_nonzero(~scanned))
+        seed_i = np.where(scanned, EMPTY_IDX, self.rep_ids[seed_cols])
+        if fp32 or qop is not None:
+            # these scans re-rank in float64; the seeds must match them
+            seed_d = rescore_pairs(metric, Qb, self.X, seed_i)
+        else:
+            seed_d = np.where(scanned, np.inf, D_R[ri, seed_cols])
+        order = np.argsort(seed_d, axis=1, kind="stable")
+        sd, si = seed_d[ri, order], seed_i[ri, order]
+        seed_d = np.full((m, k), np.inf)
+        seed_i = np.full((m, k), EMPTY_IDX, dtype=np.int64)
+        seed_d[:, :kk], seed_i[:, :kk] = sd, si
+        stats.stage1_evals = metric.counter.n_evals - evals0
+
+        thr = g_up = None
+        if engine:
+            # a true top-k neighbor's stage-2 value is <= its exact value +
+            # err <= the k-th representative's exact value + err <= gamma +
+            # 2 err; one more err covers the rounding of gamma itself
+            err = _rounding_bound(
+                metric, Qp, slice(None), self._max_sqnorm(dtype), gamma
+            )
+            if metric.squared_ok:
+                g2 = metric.to_squared(gamma)
+                thr, g_up = g2 + 3.0 * err, np.sqrt(g2 + 2.0 * err)
+            else:
+                thr, g_up = gamma + 3.0 * err, gamma + 2.0 * err
+        return StagePlan(
+            Qb, int(k), D_R, gamma, keep, cuts, seed_d, seed_i, stats,
+            recorder, Qp, thr, g_up, Qp_q, qop, fp32,
+        )
+
+    def scan(
+        self,
+        plan: StagePlan,
+        rows=slice(None),
+        reps: np.ndarray | None = None,
+        width: int | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stage 2 of ``plan`` for the query ``rows`` over the trimmed
+        prefixes of the representatives ``reps`` (default: all): a dense
+        ``(len(rows), width)`` top-``width`` partial (``width`` defaults to
+        ``plan.k``), sorted, padded with ``inf`` / ``EMPTY_IDX``, seeds not
+        included.
+
+        Each representative's group of rows scans one dense block, padded
+        to the longest prefix and masked back to each row's cut.  On the
+        engine the prefix is a slice of the prepared candidate operand, one
+        compare against the certified threshold keeps survivors and one
+        ``lexsort`` ranks them; off it (``engine=False``, non-vector
+        metrics) each group folds in with ``merge_group_topk``.
+        """
+        metric = self.metric
+        width = plan.k if width is None else int(width)
+        ridx = np.arange(len(plan.D_R))[rows]
+        cuts = plan.cuts[rows] if reps is None else plan.cuts[rows][:, reps]
+        c = ridx.size
+        recorder = plan.recorder
+        engine = plan.Qp is not None
+        quant = plan.qop is not None
+        dim = metric.dim(self.rep_data)
         # float32 mode keeps extra result slots so rounding noise cannot
         # evict the true k-th neighbor before the float64 refinement
-        k_out = k + max(8, k) if fp32 else k
-
-        def task(chunk):
-            lo, hi = chunk
-            return self._stage2_chunk(
-                Qb,
-                D_R,
-                gamma,
-                gamma_eff,
-                psi,
-                rep_owner,
-                rep_pos,
-                lo,
-                hi,
-                k,
-                use_psi_rule,
-                use_3gamma_rule,
-                use_trim,
-                recorder,
-                Qp=Qp,
-                k_out=k_out,
-                fp32=fp32,
-                qop=qop,
-                Qp_q=Qp_q,
-            )
-
-        chunks = row_chunks(m, 256)
-        evals1 = self.metric.counter.n_evals
-        # stage 2 under a process pool would ship the whole index state per
-        # chunk; the batched kernels below are BLAS-bound and release the
-        # GIL, so the context degrades that backend to inline execution
-        with ctx.executor_scope(inline_processes=True) as exec_:
-            if len(chunks) == 1 or isinstance(exec_, SerialExecutor):
-                parts = [task(ch) for ch in chunks]
+        k_out = width + max(8, width) if plan.fp32 and not quant else width
+        squared = engine and metric.squared_ok
+        if engine:
+            Qp = plan.Qp_q if quant else plan.Qp
+            if quant:
+                Cp = plan.qop.decoded
+                q_err = _rounding_bound(
+                    metric, Qp, ridx, self._max_sqnorm("quant", Cp), 0.0
+                )
             else:
-                parts = exec_.map(task, chunks)
-        stats.stage2_evals = self.metric.counter.n_evals - evals1
+                Cp = self._prepared_cands(str(Qp.data.dtype))
+            itemsize = float(Qp.data.dtype.itemsize)
+            acc_r = [np.empty(0, dtype=np.int64)]
+            acc_d = [np.empty(0)]
+            acc_g = [np.empty(0, dtype=np.int64)]
+        else:
+            itemsize = 8.0
+            dists = np.full((c, k_out), np.inf)
+            idxs = np.full((c, k_out), EMPTY_IDX, dtype=np.int64)
+        # DRAM traffic model: each unique candidate is streamed once per
+        # scan (one memcpy op at the end); group ops carry only compute and
+        # output bytes
+        touched = np.zeros(self.n, dtype=bool) if recorder.enabled else None
+        with recorder.phase("exact:stage2"):
+            for jj in np.flatnonzero(cuts.any(axis=0)):
+                j = int(jj if reps is None else reps[jj])
+                sel = np.flatnonzero(cuts[:, jj])
+                cut = cuts[sel, jj]
+                plen = int(cut.max())
+                prefix = self.lists[j][:plen]
+                # a ragged group's rows only own their own trimmed prefix
+                ragged = int(cut.min()) < plen
+                if ragged:
+                    inside = np.arange(plen)[None, :] < cut[:, None]
+                if engine:
+                    lo = int(self._packed.starts[j])
+                    D = metric.pairwise_prepared(
+                        Qp.take(ridx[sel]), Cp.slice(lo, lo + plen), squared=squared
+                    )
+                    if quant:
+                        # a candidate with true distance <= g_up has decoded
+                        # distance <= g_up + resid (triangle inequality),
+                        # plus the float32 kernel error
+                        b = plan.g_up[ridx[sel], None] + plan.qop.resid[lo : lo + plen]
+                        if squared:
+                            thr = metric.to_squared(b) + 2.0 * q_err[sel, None]
+                        else:
+                            thr = b + 2.0 * _rounding_bound(metric, Qp, sel, 0.0, b)
+                    else:
+                        thr = plan.thr[ridx[sel], None]
+                    mask = D <= thr
+                    if ragged:
+                        mask &= inside
+                    # 1-D nonzero + divmod beats 2-D nonzero by ~2x here
+                    flat = np.flatnonzero(mask)
+                    rr, cc = np.divmod(flat, plen)
+                    acc_r.append(sel[rr])
+                    acc_d.append(D.reshape(-1)[flat].astype(np.float64, copy=False))
+                    acc_g.append(prefix[cc])
+                else:
+                    D = metric.pairwise(
+                        metric.take(plan.Qb, ridx[sel]), metric.take(self.X, prefix)
+                    )
+                    if ragged:
+                        D[~inside] = np.inf
+                    merge_group_topk(dists, idxs, sel, D, prefix, n_valid=cut)
+                if touched is not None:
+                    touched[prefix] = True
+                    _record_dist_tile(recorder, metric, sel.size, plen, dim,
+                                      "exact:stage2", itemsize=itemsize)
+                    _record_select(recorder, sel.size, plen, "exact:stage2",
+                                   itemsize=itemsize)
+                    # two (rows, width) candidate blocks: distances at the
+                    # compute itemsize plus int64 ids
+                    recorder.record(
+                        Op(kind="reduce", flops=4.0 * sel.size * width,
+                           bytes=2.0 * sel.size * width * (itemsize + 8.0),
+                           vectorizable=True, tag="exact:stage2:merge")
+                    )
+            if touched is not None and touched.any():
+                recorder.record(
+                    Op(kind="memcpy", flops=0.0,
+                       bytes=itemsize * dim * float(touched.sum()),
+                       tag="exact:stage2-stream")
+                )
+        if engine:
+            # one ranking pass: stable sort by (query row, distance), each
+            # row keeps its first k_out -- or, for the quantized scan whose
+            # distances cannot rank the answer, every survivor
+            r_all, d_all = np.concatenate(acc_r), np.concatenate(acc_d)
+            order = np.lexsort((d_all, r_all))
+            r_s = r_all[order]
+            rank = np.arange(r_s.size) - np.searchsorted(r_s, np.arange(c + 1))[r_s]
+            if quant:
+                k_out = max(int(rank.max()) + 1 if rank.size else 0, width)
+            top = rank < k_out
+            dists = np.full((c, k_out), np.inf)
+            idxs = np.full((c, k_out), EMPTY_IDX, dtype=np.int64)
+            dists[r_s[top], rank[top]] = d_all[order][top]
+            idxs[r_s[top], rank[top]] = np.concatenate(acc_g)[order][top]
+        if quant or plan.fp32:
+            # exact float64 re-score and re-rank of the candidates
+            return refine_topk(metric, metric.take(plan.Qb, ridx), self.X, idxs, width)
+        if squared:
+            dists = metric.from_squared(dists)
+        return dists, idxs
 
-        dist = np.concatenate([p[0] for p in parts], axis=0)
-        idx = np.concatenate([p[1] for p in parts], axis=0)
-        if fp32 and qop is None:
-            # exact float64 re-score and re-rank of the float32 candidates
-            # (the quantized path re-ranks inside each chunk already)
-            dist, idx = refine_topk(self.metric, Qb, self.X, idx, k)
-        for p in parts:
-            sub = p[2]
-            stats.pruned_by_psi += sub.pruned_by_psi
-            stats.pruned_by_3gamma += sub.pruned_by_3gamma
-            stats.trimmed_by_4gamma += sub.trimmed_by_4gamma
-            stats.candidates_examined += sub.candidates_examined
-        if qop is not None:
-            stats.quant = {
-                "strategy": "grouped",
-                "quantizer": qplan.quantizer,
-                "backend": qplan.backend,
-                "code_bytes": int(qop.code_bytes),
-            }
-        self.last_stats = stats
-        return dist, idx
+    def _max_sqnorm(self, key, P=None) -> float:
+        """Largest squared norm of the candidate or code operand, cached."""
+        val = self._prep.get(("max_sqnorm", key))
+        if val is None:
+            sq = (P if P is not None else self._prepared_cands(key)).sqnorms
+            val = float(sq.max()) if sq is not None and len(sq) else 0.0
+            self._prep[("max_sqnorm", key)] = val
+        return val
 
-    def _query_quant_flat(self, Qb, k, plan, stats, recorder):
+    def _query_quant_flat(self, Qb, k, plan, recorder):
         """One certified quantized scan of the live points, replacing both
         stages (the autotuner's *flat* strategy — chosen when the pruning
         rules are predicted to keep nearly everything, so the grouped
@@ -283,6 +557,7 @@ class ExactRBC(RBCBase):
         )
         dim = self.metric.dim(self.X)
         m = self.metric.length(Qb)
+        stats = SearchStats(n_queries=m)
         evals0 = self.metric.counter.n_evals
         with recorder.phase("exact:quant-flat"):
             dist, idx, info = quant_search(
@@ -316,38 +591,27 @@ class ExactRBC(RBCBase):
     def _stage1_distances(
         self, Qb, recorder: TraceRecorder, Qp=None
     ) -> np.ndarray:
-        """Full (m, n_reps) distance matrix, computed in row chunks.
-
-        With a prepared query block ``Qp`` the engine path runs: cached
-        representative operands, no coercion, no norm recomputation
-        (bit-identical values in float64; float32 results are widened back
-        to float64 so downstream pruning arithmetic is uniform).
-        """
-        m = self.metric.length(Qb)
-        dim = self.metric.dim(self.rep_data)
+        """Full (m, n_reps) float64 distance matrix, in row chunks; on the
+        prepared queries ``Qp`` against the cached prepared representatives
+        when given (float32 results are widened back to float64)."""
+        metric = self.metric
+        m = metric.length(Qb)
         out = np.empty((m, self.n_reps))
+        # the reps cache keys on dtype, so a per-call override via
+        # ExecContext gets (and keeps) its own prepared block
+        Rp = self._prepared_reps(str(Qp.data.dtype)) if Qp is not None else None
         with recorder.phase("exact:stage1"):
-            if Qp is not None:
-                # the reps cache keys on dtype, so a per-call override via
-                # ExecContext gets (and keeps) its own prepared block
-                Rp = self._prepared_reps(str(Qp.data.dtype))
-                itemsize = float(Qp.data.dtype.itemsize)
-                for lo, hi in row_chunks(m, 1024):
-                    out[lo:hi] = self.metric.pairwise_prepared(
-                        Qp.slice(lo, hi), Rp
-                    )
-                    _record_dist_tile(
-                        recorder, self.metric, hi - lo, self.n_reps, dim,
-                        "exact:stage1", itemsize=itemsize,
-                    )
-            else:
-                for lo, hi in row_chunks(m, 1024):
-                    Qc = self.metric.take(Qb, np.arange(lo, hi))
-                    out[lo:hi] = self.metric.pairwise(Qc, self.rep_data)
-                    _record_dist_tile(
-                        recorder, self.metric, hi - lo, self.n_reps, dim,
-                        "exact:stage1",
-                    )
+            for lo, hi in row_chunks(m, 1024):
+                if Rp is not None:
+                    out[lo:hi] = metric.pairwise_prepared(Qp.slice(lo, hi), Rp)
+                else:
+                    Qc = metric.take(Qb, np.arange(lo, hi))
+                    out[lo:hi] = metric.pairwise(Qc, self.rep_data)
+                _record_dist_tile(
+                    recorder, metric, hi - lo, self.n_reps,
+                    metric.dim(self.rep_data), "exact:stage1",
+                    itemsize=float(Qp.data.dtype.itemsize) if Rp is not None else 8.0,
+                )
         return out
 
     def warm(self, ctx: ExecContext | None = None) -> "ExactRBC":
@@ -358,20 +622,10 @@ class ExactRBC(RBCBase):
         return self
 
     def _rep_positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """Locate every representative inside the ownership lists.
-
-        Returns ``(owner, pos)``: representative ``r`` (a database point)
-        sits at ``lists[owner[r]][pos[r]]``.  The batched stage 2 uses this
-        to avoid examining a seed representative twice when its own list
-        prefix is already scanned.  ``owner`` is ``-1`` for a representative
-        found in no list (cannot happen in a consistent exact build; treated
-        as "not scanned").
-
-        The table depends only on the index state, but the scan that
-        builds it is a Python loop over every ownership list — by far the
-        largest *fixed* cost of a query call, which a one-query-at-a-time
-        stream pays over and over.  It is therefore cached per index
-        version (``_prep`` is cleared by every build/insert/delete).
+        """``(owner, pos)``: representative ``r`` (a database point) sits at
+        ``lists[owner[r]][pos[r]]`` (``owner`` -1: in no list, "not
+        scanned"), so a seed inside a scanned prefix is not examined twice.
+        Built by a Python loop over every list, so cached per index version.
         """
         cached = self._prep.get("rep_positions")
         if cached is not None:
@@ -405,326 +659,11 @@ class ExactRBC(RBCBase):
         rows = np.random.default_rng(0).choice(
             self.n, size=probe_m, replace=False
         )
-        Dp = self.metric.pairwise(
-            self.metric.take(self.X, rows), self.rep_data
+        # the generic path: no prepared operands, no quantized tier
+        plan = self.plan(
+            self.metric.take(self.X, rows), 1, ctx=ExecContext(engine=False)
         )
-        gamma = Dp.min(axis=1)
-        keep = (Dp - self.radii[None, :] < gamma[:, None]) & (
-            Dp <= 3.0 * gamma[:, None]
-        )
-        total = 0
-        for j in np.flatnonzero(keep.any(axis=0)):
-            ld = self.list_dists[j]
-            if ld.size == 0:
-                continue
-            r = np.flatnonzero(keep[:, j])
-            cut = np.searchsorted(ld, Dp[r, j] + gamma[r], side="right")
-            total += int(cut.sum())
-        return min(1.0, total / max(1, probe_m * self.n))
-
-    def _stage2_chunk(
-        self,
-        Qb,
-        D_R,
-        gamma,
-        gamma_eff,
-        psi,
-        rep_owner,
-        rep_pos,
-        lo,
-        hi,
-        k,
-        use_psi_rule,
-        use_3gamma_rule,
-        use_trim,
-        recorder,
-        Qp=None,
-        k_out=None,
-        fp32=False,
-        qop=None,
-        Qp_q=None,
-    ):
-        """Batched pruning + grouped stage 2 for queries ``lo..hi``.
-
-        All per-query scalar work is coalesced into dense kernels:
-
-        1. the psi and 3-gamma rules are broadcast over the whole
-           ``(chunk, n_reps)`` block of stage-1 distances;
-        2. the Claim-2 trim is one vectorized ``searchsorted`` per
-           representative over the queries that kept it;
-        3. surviving queries are grouped by representative and each
-           representative's trimmed prefix is scanned with a single
-           ``pairwise`` block (rows padded to the group's longest prefix and
-           masked back to each query's own cut), with per-query results
-           folded through :func:`~repro.parallel.reduce.merge_group_topk`;
-        4. the seed representatives (the ``k`` nearest, distances already in
-           ``D_R``) are merged last, skipping any seed already inside a
-           scanned prefix so no candidate is examined twice.
-
-        Pruning/trim/candidate counters are identical to the per-query
-        formulation; stage-2 distance evaluations may exceed the per-query
-        count by the group padding (real work the dense kernel performs).
-
-        With a prepared query block ``Qp`` the group scans run on the
-        engine: each trimmed prefix is a contiguous row slice of the cached
-        pre-gathered candidate matrix and ``squared_ok`` metrics rank in
-        the squared domain (the root is applied only to the ``(c, k)``
-        result).  ``fp32`` widens every pruning/trim bound by a relative
-        slack so float32 rounding cannot discard a true neighbor's list;
-        the caller refines the returned candidates in float64.
-        """
-        sub = SearchStats()
-        nr = self.n_reps
-        c = hi - lo
-        k_out = k if k_out is None else k_out
-        dim = self.metric.dim(self.rep_data)
-        Dc = D_R[lo:hi]
-        ge = gamma_eff[lo:hi]
-        # relative slack on the pruning bounds in float32 mode (float32
-        # kernels carry ~1e-7 relative error; 1e-4 leaves ample headroom at
-        # negligible extra candidate cost)
-        slack = 1e-4 if fp32 else 0.0
-
-        # ---- rules, broadcast over the whole chunk
-        keep = np.ones((c, nr), dtype=bool)
-        if use_psi_rule:
-            # inequality (1): rho(q,r) >= gamma + psi_r  =>  discard
-            tol = slack * (np.abs(Dc) + psi[None, :]) if fp32 else 0.0
-            kept = Dc - psi[None, :] < ge[:, None] + tol
-            sub.pruned_by_psi += int(c * nr - np.count_nonzero(kept))
-            keep &= kept
-        if use_3gamma_rule:
-            # inequality (2) via Lemma 1
-            tol = 4.0 * slack * np.abs(Dc) if fp32 else 0.0
-            kept = Dc <= 3.0 * gamma[lo:hi][:, None] + tol
-            sub.pruned_by_3gamma += int(np.count_nonzero(keep & ~kept))
-            keep &= kept
-
-        # ---- Claim-2 trim: rho(x, r) <= rho(q, r) + gamma bounds a sorted
-        # prefix; one vectorized searchsorted per surviving representative
-        cuts = np.zeros((c, nr), dtype=np.int64)
-        for j in np.flatnonzero(keep.any(axis=0)):
-            lst = self.lists[j]
-            if lst.size == 0:
-                continue
-            rows = np.flatnonzero(keep[:, j])
-            if use_trim:
-                bound = Dc[rows, j] + ge[rows]
-                cut = np.searchsorted(
-                    self.list_dists[j], bound * (1.0 + slack), side="right"
-                )
-                sub.trimmed_by_4gamma += int(rows.size * lst.size - cut.sum())
-                cuts[rows, j] = cut
-            else:
-                cuts[rows, j] = lst.size
-
-        # Seed with the k nearest representatives: they are database points
-        # whose distances are already known (stage 1) to be <= gamma, which
-        # keeps the answer exact even when a boundary tie in rule (1)
-        # discards a representative's own singleton list.  Seeds already
-        # inside a scanned prefix are masked so no candidate repeats.
-        kk = min(k, nr)
-        seed_cols = np.argpartition(Dc, kk - 1, axis=1)[:, :kk]
-        so = rep_owner[seed_cols]
-        so_ok = so >= 0
-        cut_at = np.take_along_axis(cuts, np.where(so_ok, so, 0), axis=1)
-        in_parts = so_ok & (rep_pos[seed_cols] < cut_at)
-        sub.candidates_examined += int(cuts.sum() + np.count_nonzero(~in_parts))
-
-        engine = Qp is not None
-        quant = engine and qop is not None
-        if engine:
-            Cp = qop.decoded if quant else self._prepared_cands(str(Qp.data.dtype))
-            packed = self._packed
-            squared = self.metric.squared_ok
-            itemsize = 4.0 if quant else float(Qp.data.dtype.itemsize)
-            # gamma bounds the k-th NN distance (the k seed representatives
-            # are candidates at distance <= gamma), so any scanned candidate
-            # beyond it can never enter the final top-k.  The engine path
-            # exploits this: instead of an argpartition+merge per group, a
-            # single compare keeps the few survivors per query and one
-            # lexsort per chunk ranks them at the end.  The threshold is
-            # widened by a relative slack so rounding can only admit extra
-            # survivors (harmless), never exclude a true neighbor.
-            g_chunk = gamma[lo:hi]
-            thr = (
-                self.metric.to_squared(g_chunk) if squared else g_chunk
-            ) * (1.0 + (1e-4 if fp32 else 1e-9))
-            acc_r: list[np.ndarray] = []
-            acc_d: list[np.ndarray] = []
-            acc_g: list[np.ndarray] = []
-        else:
-            squared = False
-            itemsize = 8.0
-
-        dists = np.full((c, k_out), np.inf)
-        idxs = np.full((c, k_out), EMPTY_IDX, dtype=np.int64)
-        # DRAM traffic model: a candidate vector is streamed from memory the
-        # first time any query in this chunk touches it and served from
-        # cache afterwards, so the chunk charges each unique candidate once
-        # (recorded as one memcpy op below); group ops carry only their
-        # compute and output bytes.
-        touched = np.zeros(self.n, dtype=bool) if recorder.enabled else None
-        with recorder.phase("exact:stage2"):
-            if recorder.enabled:
-                recorder.record(
-                    Op(
-                        kind="ewise",
-                        flops=4.0 * nr * c,
-                        bytes=8.0 * nr * c,
-                        tag="exact:prune",
-                    )
-                )
-            for j in np.flatnonzero((cuts > 0).any(axis=0)):
-                rows = np.flatnonzero(cuts[:, j])
-                cut = cuts[rows, j]
-                prefix_len = int(cut.max())
-                prefix = self.lists[j][:prefix_len]
-                if engine:
-                    plo = int(packed.starts[j])
-                    D = self.metric.pairwise_prepared(
-                        (Qp_q if quant else Qp).take(lo + rows),
-                        Cp.slice(plo, plo + prefix_len),
-                        squared=squared,
-                    )
-                else:
-                    Qg = self.metric.take(Qb, lo + rows)
-                    D = self.metric.pairwise(Qg, self.metric.take(self.X, prefix))
-                ragged = int(cut.min()) < prefix_len
-                if ragged and not engine:
-                    # ragged group scanned as one padded block: a row only
-                    # owns its own trimmed prefix
-                    D[np.arange(prefix_len)[None, :] >= cut[:, None]] = np.inf
-                if touched is not None:
-                    touched[prefix] = True
-                _record_dist_tile(
-                    recorder, self.metric, rows.size, prefix_len, dim,
-                    "exact:stage2", itemsize=itemsize,
-                )
-                _record_select(
-                    recorder, rows.size, prefix_len, "exact:stage2",
-                    itemsize=itemsize,
-                )
-                if engine:
-                    if quant:
-                        # per-element triangle bound: a candidate with true
-                        # distance <= gamma has decoded-scan distance
-                        # <= gamma + resid, so nothing widened out of this
-                        # mask can belong to the final top-k
-                        bnd = (
-                            g_chunk[rows][:, None]
-                            + qop.resid[plo : plo + prefix_len][None, :]
-                        )
-                        if squared:
-                            bnd = self.metric.to_squared(bnd)
-                        mask = D <= bnd * (1.0 + 1e-4) + 1e-9
-                    else:
-                        mask = D <= thr[rows][:, None]
-                    if ragged:
-                        # fold the ragged-prefix ownership into the same
-                        # mask instead of writing inf padding into D
-                        mask &= np.arange(prefix_len)[None, :] < cut[:, None]
-                    # 1-D nonzero + divmod beats 2-D nonzero by ~2x here
-                    flat = np.flatnonzero(mask)
-                    rr, cc = np.divmod(flat, prefix_len)
-                    acc_r.append(rows[rr])
-                    acc_d.append(
-                        D.reshape(-1)[flat].astype(np.float64, copy=False)
-                    )
-                    acc_g.append(prefix[cc])
-                else:
-                    merge_group_topk(dists, idxs, rows, D, prefix, n_valid=cut)
-                if recorder.enabled:
-                    # two (rows, k) candidate blocks: distances at the
-                    # compute itemsize plus int64 ids
-                    recorder.record(
-                        Op(
-                            kind="reduce",
-                            flops=4.0 * rows.size * k,
-                            bytes=2.0 * rows.size * k * (itemsize + 8.0),
-                            vectorizable=True,
-                            tag="exact:stage2:merge",
-                        )
-                    )
-            # fold in the seeds not already scanned above, reusing their
-            # stage-1 distances (no new evaluations)
-            sd = np.take_along_axis(Dc, seed_cols, axis=1).astype(
-                np.float64, copy=True
-            )
-            if squared:
-                # accumulators hold squared distances; lift the seeds into
-                # the same domain before merging
-                sd = self.metric.to_squared(sd)
-            sd[in_parts] = np.inf
-            sg = self.rep_ids[seed_cols]
-            if engine:
-                # seeds are at distance <= gamma <= thr by construction, so
-                # they join the survivor pool unconditionally
-                srr, scc = np.nonzero(np.isfinite(sd))
-                acc_r.append(srr)
-                acc_d.append(sd[srr, scc])
-                acc_g.append(sg[srr, scc])
-                r_all = np.concatenate(acc_r)
-                d_all = np.concatenate(acc_d)
-                g_all = np.concatenate(acc_g)
-                # one ranking pass over all survivors: stable sort by
-                # (query row, distance), then each row keeps its first k_out
-                order = np.lexsort((d_all, r_all))
-                r_s = r_all[order]
-                rank = np.arange(r_s.size) - np.searchsorted(
-                    r_s, np.arange(c + 1)
-                )[r_s]
-                if quant:
-                    # approximate scan distances cannot rank the answer:
-                    # keep *every* survivor (the widened bound guarantees
-                    # the true top-k are among them), pad to the widest
-                    # row and re-rank the whole pool in exact float64
-                    counts = np.bincount(r_s, minlength=c)
-                    width = max(int(counts.max()) if counts.size else 0, 1)
-                    padded = np.full((c, width), EMPTY_IDX, dtype=np.int64)
-                    padded[r_s, rank] = g_all[order]
-                    qd, qi = refine_topk(
-                        self.metric,
-                        self.metric.take(Qb, np.arange(lo, hi)),
-                        self.X,
-                        padded,
-                        k,
-                    )
-                    return qd, qi, sub
-                sel = rank < k_out
-                dists[r_s[sel], rank[sel]] = d_all[order][sel]
-                idxs[r_s[sel], rank[sel]] = g_all[order][sel]
-            else:
-                d_s, li = topk_of_block(sd, k_out)
-                gi = np.where(
-                    li >= 0,
-                    np.take_along_axis(sg, np.clip(li, 0, None), axis=1),
-                    EMPTY_IDX,
-                )
-                gi = np.where(np.isfinite(d_s), gi, EMPTY_IDX)
-                dists, idxs = merge_topk((dists, idxs), (d_s, gi))
-            if recorder.enabled:
-                recorder.record(
-                    Op(
-                        kind="reduce",
-                        flops=4.0 * c * k,
-                        bytes=2.0 * c * k * (itemsize + 8.0),
-                        vectorizable=True,
-                        tag="exact:stage2:merge",
-                    )
-                )
-            if touched is not None and touched.any():
-                recorder.record(
-                    Op(
-                        kind="memcpy",
-                        flops=0.0,
-                        bytes=itemsize * dim * float(touched.sum()),
-                        tag="exact:stage2-stream",
-                    )
-                )
-        if squared:
-            dists = self.metric.from_squared(dists)
-        return dists, idxs, sub
+        return min(1.0, int(plan.cuts.sum()) / max(1, probe_m * self.n))
 
     # ------------------------------------------------------ dynamic updates
     def insert(self, x) -> int:
@@ -825,30 +764,29 @@ class ExactRBC(RBCBase):
         ctx = self._call_ctx(ctx, recorder=recorder)
         recorder = ctx.recorder
         dtype = ctx.dtype_or_default
-        Qb = Q if _is_batch(self.metric, Q) else self.metric._as_batch(Q)
-        m = self.metric.length(Qb)
+        metric = self.metric
+        Qb = Q if _is_batch(metric, Q) else metric._as_batch(Q)
+        m = metric.length(Qb)
+        if m == 0:
+            return []
         engine = self._engine_active(ctx)
         fp32 = engine and dtype == "float32"
-        Qp = self.metric.prepare(Qb, dtype=dtype) if engine else None
-        if engine:
-            Cp = self._prepared_cands(str(Qp.data.dtype))
-            packed = self._packed
-            itemsize = float(Qp.data.dtype.itemsize)
+        Qp = metric.prepare(Qb, dtype=dtype) if engine else None
+        Cp = self._prepared_cands(dtype) if engine else None
+        itemsize = float(np.dtype(dtype).itemsize) if engine else 8.0
         D_R = self._stage1_distances(Qb, recorder, Qp=Qp)
-        dim = self.metric.dim(self.rep_data)
+        dim = metric.dim(self.rep_data)
         # float32 windows/thresholds are slack-widened; candidate hits are
         # then verified with the exact float64 distance
         slack = 1e-4 if fp32 else 0.0
 
         keep = D_R <= (eps + self.radii[None, :]) * (1.0 + slack)
-        parts_d: list[list[np.ndarray]] = [[] for _ in range(m)]
-        parts_i: list[list[np.ndarray]] = [[] for _ in range(m)]
+        acc_r = [np.empty(0, dtype=np.int64)]
+        acc_d = [np.empty(0)]
+        acc_i = [np.empty(0, dtype=np.int64)]
         with recorder.phase("exact:range"):
             for j in np.flatnonzero(keep.any(axis=0)):
-                lst = self.lists[j]
-                ld = self.list_dists[j]
-                if lst.size == 0:
-                    continue
+                lst, ld = self.lists[j], self.list_dists[j]
                 rows = np.flatnonzero(keep[:, j])
                 tol = slack * (np.abs(D_R[rows, j]) + eps)
                 lsl = np.searchsorted(ld, D_R[rows, j] - eps - tol, side="left")
@@ -862,50 +800,32 @@ class ExactRBC(RBCBase):
                 wlo, whi = int(lsl.min()), int(lsr.max())
                 window = lst[wlo:whi]
                 if engine:
-                    plo = int(packed.starts[j])
-                    D = self.metric.pairwise_prepared(
+                    plo = int(self._packed.starts[j])
+                    D = metric.pairwise_prepared(
                         Qp.take(rows), Cp.slice(plo + wlo, plo + whi)
                     )
-                    _record_dist_tile(
-                        recorder, self.metric, rows.size, window.size, dim,
-                        "exact:range", itemsize=itemsize,
-                    )
                 else:
-                    D = self.metric.pairwise(
-                        self.metric.take(Qb, rows),
-                        self.metric.take(self.X, window),
+                    D = metric.pairwise(
+                        metric.take(Qb, rows), metric.take(self.X, window)
                     )
-                    _record_dist_tile(
-                        recorder, self.metric, rows.size, window.size, dim,
-                        "exact:range",
-                    )
+                _record_dist_tile(
+                    recorder, metric, rows.size, window.size, dim,
+                    "exact:range", itemsize=itemsize,
+                )
                 cols = np.arange(wlo, whi)[None, :]
                 eps_scan = eps + slack * (1.0 + np.abs(D)) if fp32 else eps
                 hit = (cols >= lsl[:, None]) & (cols < lsr[:, None]) & (D <= eps_scan)
-                for t, i_row in enumerate(rows):
-                    sel = np.flatnonzero(hit[t])
-                    if not sel.size:
-                        continue
-                    if fp32:
-                        # exact float64 verification of the float32 hits
-                        d = self.metric.pairwise(
-                            self.metric.take(Qb, [i_row]),
-                            self.metric.take(self.X, window[sel]),
-                        )[0]
-                        inside = d <= eps
-                        parts_d[i_row].append(d[inside])
-                        parts_i[i_row].append(window[sel][inside])
-                    else:
-                        parts_d[i_row].append(D[t, sel])
-                        parts_i[i_row].append(window[sel])
+                r, c = np.nonzero(hit)
+                acc_r.append(rows[r])
+                acc_d.append(D[r, c])
+                acc_i.append(window[c])
 
-        out = []
-        for r in range(m):
-            if parts_d[r]:
-                d = np.concatenate(parts_d[r])
-                gi = np.concatenate(parts_i[r]).astype(np.int64)
-                order = np.argsort(d, kind="stable")
-                out.append((d[order], gi[order]))
-            else:
-                out.append((np.empty(0), np.empty(0, dtype=np.int64)))
-        return out
+        r_all, d_all, i_all = (np.concatenate(a) for a in (acc_r, acc_d, acc_i))
+        if fp32:
+            # exact float64 verification of the float32 hits
+            d_all = metric.paired(metric.take(Qb, r_all), metric.take(self.X, i_all))
+            inside = d_all <= eps
+            r_all, d_all, i_all = r_all[inside], d_all[inside], i_all[inside]
+        order = np.lexsort((d_all, r_all))
+        cuts = np.searchsorted(r_all[order], np.arange(1, m))
+        return list(zip(np.split(d_all[order], cuts), np.split(i_all[order], cuts)))

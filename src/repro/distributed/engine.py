@@ -4,12 +4,14 @@ Two engines over the same :class:`~repro.distributed.cluster.ClusterSpec`:
 
 * :class:`DistributedRBC` — the paper's proposal: the database is
   distributed *by representative*; each node stores some representatives
-  with their complete ownership lists.  A query is pruned at the
-  coordinator using the exact-search rules (one small ``BF(Q, R)`` — the
-  representative table is tiny, O(√n), and lives on the coordinator), then
-  travels only to the nodes hosting its surviving representatives.  The
-  second brute-force stage is entirely node-local, and the result merge is
-  k values per contacted node.  Answers are exact.
+  with their complete ownership lists.  The coordinator runs the exact
+  search's :meth:`~repro.core.exact.ExactRBC.plan` (one small ``BF(Q, R)``
+  — the representative table is tiny, O(√n), and lives there) and each
+  query travels only to the nodes hosting a non-empty trimmed prefix of
+  its surviving representatives.  Each node runs
+  :meth:`~repro.core.exact.ExactRBC.scan` over its own representatives, and
+  the coordinator merges k values per contacted node with the plan's seeds.
+  Answers are exact; communication is accounted from the plan.
 
 * :class:`DistributedBruteForce` — the baseline: random row sharding;
   every query is broadcast to every node, every node scans its full shard,
@@ -96,13 +98,15 @@ def _node_tracer(span_ctx: SpanContext | None) -> Tracer:
     return Tracer(root=span_ctx) if span_ctx is not None else NULL_TRACER
 
 
-def _node_compute_time(node_spec, metric, dim, eval_counts: list[int]) -> float:
-    """Modeled time for one node to run its per-query candidate scans."""
+def _node_compute_time(node_spec, metric, dim, eval_counts, run_rec) -> float:
+    """Modeled time for one node to run its per-query candidate scans; the
+    scans are also recorded into ``run_rec`` (a no-op when disabled)."""
     rec = TraceRecorder()
     with rec.phase("node"):
         for c in eval_counts:
             if c > 0:
                 _record_dist_tile(rec, metric, 1, c, dim, "node:scan")
+                _record_dist_tile(run_rec, metric, 1, c, dim, "node:scan")
     return simulate(rec.trace, node_spec).time_s
 
 
@@ -122,8 +126,6 @@ class DistributedRBC:
         self.index: ExactRBC | None = None
         #: representative indices hosted by each node
         self.node_reps: list[list[int]] = []
-        #: node hosting each representative
-        self.rep_node: np.ndarray | None = None
         self.last_report: DistRunReport | None = None
 
     def build(
@@ -147,10 +149,6 @@ class DistributedRBC:
         self.node_reps = partition_by_representatives(
             sizes, self.cluster.n_nodes
         )
-        self.rep_node = np.empty(self.index.n_reps, dtype=np.int64)
-        for w, reps in enumerate(self.node_reps):
-            for j in reps:
-                self.rep_node[j] = w
         dim = self.metric.dim(X)
         self.build_comm = CommStats(
             bytes_to_nodes=[
@@ -196,131 +194,61 @@ class DistributedRBC:
         nr = idx.n_reps
 
         query_span = tracer.start_span("dist:query", engine="rbc", m=m, k=k)
-        # ---- coordinator: BF(Q, R), gamma, pruning (exact-search rules)
+        # ---- coordinator: stage 1 and every pruning decision (the plan)
         coord_rec = TraceRecorder()
         with tracer.span_under(query_span.context, "dist:coord", n_reps=nr), \
                 run_rec.phase("coord:stage1"), coord_rec.phase("coord:stage1"):
-            D_R = metric.pairwise(Qb, idx.rep_data)
-            _record_dist_tile(coord_rec, metric, m, nr, dim, "coord:stage1")
-            if run_rec.enabled:
-                _record_dist_tile(run_rec, metric, m, nr, dim, "coord:stage1")
-        kk = min(k, nr)
-        # gamma = distance to the k-th nearest representative, an upper
-        # bound on the k-th NN distance.  With fewer representatives than
-        # k no such bound exists — the nr-th rep distance does NOT bound
-        # the k-th neighbor — so pruning is disabled (same guard as
-        # ExactRBC.query) and every list is scanned in full.
-        if nr >= k:
-            gamma = np.partition(D_R, kk - 1, axis=1)[:, kk - 1]
-        else:
-            gamma = np.full(m, np.inf)
-
-        keep = (D_R - idx.radii[None, :] < gamma[:, None]) & (
-            D_R <= 3.0 * gamma[:, None]
-        )
+            plan = idx.plan(Qb, k)
+            for rec in (coord_rec, run_rec):
+                _record_dist_tile(rec, metric, m, nr, dim, "coord:stage1")
         coordinator_s = simulate(coord_rec.trace, cluster.coordinator_spec).time_s
 
-        # ---- routing: which queries touch which node, and their candidates
-        per_node_tasks: list[list[tuple[int, np.ndarray]]] = [
-            [] for _ in range(cluster.n_nodes)
-        ]
-        bytes_to = [0.0] * cluster.n_nodes
-        messages = 0
-        for qi in range(m):
-            js = np.flatnonzero(keep[qi])
-            # node-local trim (Claim 2): the node can evaluate the cut
-            # itself from rho(q, r) + gamma, both shipped with the query
-            touched: dict[int, list[np.ndarray]] = {}
-            for j in js:
-                cut = np.searchsorted(
-                    idx.list_dists[j], D_R[qi, j] + gamma[qi], side="right"
-                )
-                if cut == 0:
-                    continue
-                touched.setdefault(int(self.rep_node[j]), []).append(
-                    idx.lists[j][:cut]
-                )
-            # representative seeds keep boundary ties exact; the
-            # coordinator already knows their distances, so they cost no
-            # communication (handled at merge below)
-            for w, cand_parts in touched.items():
-                cand = np.concatenate(cand_parts)
-                per_node_tasks[w].append((qi, cand))
-                # message: query vector + per-rep (id, cut bound) + gamma
-                bytes_to[w] += (
-                    dim * _FLOAT_BYTES
-                    + len(cand_parts) * (_ID_BYTES + _FLOAT_BYTES)
-                    + _FLOAT_BYTES
-                )
-                messages += 1
-
-        # ---- node-local brute force over shipped candidate lists
-        # the query span's context is part of each coordinator→node
-        # message; nodes record their scans under it and ship the finished
-        # spans back with the results
+        # ---- node-local stage 2 over each node's representatives.  A
+        # (query, node) message carries the query, gamma and one (rep id,
+        # cut bound) pair per non-empty trimmed prefix; seeds stay at the
+        # coordinator.  The query span's context rides along, and nodes
+        # ship their finished spans back with the results
         span_ctx = query_span.context if tracer.enabled else None
-        node_evals = [0] * cluster.n_nodes
-        node_results: list[list[tuple[int, np.ndarray, np.ndarray]]] = [
-            [] for _ in range(cluster.n_nodes)
-        ]
-        node_times = []
+        live = plan.cuts > 0
+        bytes_to, bytes_from, node_evals, node_times = [], [], [], []
+        messages, partials = 0, {}
         with run_rec.phase("node:scan"):
-            for w, tasks in enumerate(per_node_tasks):
+            for w, reps in enumerate(self.node_reps):
+                reps = np.asarray(reps, dtype=np.int64)
+                n_lists = live[:, reps].sum(axis=1)
+                rows = np.flatnonzero(n_lists)
+                # per-query candidate counts: the trimmed prefix lengths
+                counts = plan.cuts[rows][:, reps].sum(axis=1)
+                node_evals.append(int(counts.sum()))
+                messages += int(rows.size)
+                bytes_to.append(
+                    float(rows.size * (dim + 1) * _FLOAT_BYTES
+                          + n_lists.sum() * (_ID_BYTES + _FLOAT_BYTES))
+                )
+                bytes_from.append(rows.size * k * (_FLOAT_BYTES + _ID_BYTES))
                 ntracer = _node_tracer(span_ctx)
-                counts = []
                 with ntracer.span(
-                    "dist:node", node=w, n_queries=len(tasks)
+                    "dist:node", node=w, n_queries=int(rows.size)
                 ) as nspan:
-                    for qi, cand in tasks:
-                        D2 = metric.pairwise(
-                            metric.take(Qb, [qi]), metric.take(idx.X, cand)
-                        )
-                        d, li = topk_of_block(D2, k)
-                        gi = np.where(
-                            li[0] >= 0, cand[np.clip(li[0], 0, None)], EMPTY_IDX
-                        )
-                        node_results[w].append((qi, d[0], gi))
-                        node_evals[w] += cand.size
-                        counts.append(cand.size)
-                        if run_rec.enabled and cand.size:
-                            _record_dist_tile(
-                                run_rec, metric, 1, cand.size, dim, "node:scan"
-                            )
+                    if rows.size:
+                        partials[w] = (rows, idx.scan(plan, rows, reps))
                     nspan.set(evals=node_evals[w])
                 tracer.adopt(ntracer.export())
                 node_times.append(
-                    _node_compute_time(cluster.nodes[w], metric, dim, counts)
+                    _node_compute_time(cluster.nodes[w], metric, dim, counts, run_rec)
                 )
 
-        # ---- gather + merge at the coordinator
-        bytes_from = [
-            len(tasks) * k * (_FLOAT_BYTES + _ID_BYTES)
-            for tasks in per_node_tasks
-        ]
-        # merge width 2k: a representative can arrive both as a seed and
-        # inside its own shipped list, and duplicates must not be able to
-        # push a genuine neighbor past the merge window before the dedupe
-        W = 2 * k
+        # ---- gather + merge at the coordinator: node partials, then seeds
         with tracer.span_under(
             query_span.context, "dist:merge", n_messages=messages
         ):
-            seed_order = np.argsort(D_R, axis=1, kind="stable")[:, :kk]
-            seed_d = np.take_along_axis(D_R, seed_order, axis=1)
-            seed_i = idx.rep_ids[seed_order].astype(np.int64)
-            out_d = np.pad(seed_d, ((0, 0), (0, W - kk)), constant_values=np.inf)
-            out_i = np.pad(
-                seed_i, ((0, 0), (0, W - kk)), constant_values=EMPTY_IDX
-            )
-            for w in range(cluster.n_nodes):
-                for qi, d, gi in node_results[w]:
-                    dw = np.pad(d, (0, W - d.size), constant_values=np.inf)
-                    gw = np.pad(gi, (0, W - gi.size), constant_values=EMPTY_IDX)
-                    md, mi = merge_topk(
-                        (out_d[qi : qi + 1], out_i[qi : qi + 1]),
-                        (dw[None, :], gw[None, :]),
-                    )
-                    out_d[qi], out_i[qi] = md[0], mi[0]
-            out_d, out_i = _dedupe_batch(out_d, out_i, k)
+            out_d = np.full((m, k), np.inf)
+            out_i = np.full((m, k), EMPTY_IDX, dtype=np.int64)
+            for rows, part in partials.values():
+                out_d[rows], out_i[rows] = merge_topk(
+                    (out_d[rows], out_i[rows]), part
+                )
+            out_d, out_i = merge_topk((out_d, out_i), (plan.seed_d, plan.seed_i))
 
         merge_s = _merge_time(cluster, m, k, messages)
         tracer.finish(query_span)
@@ -473,9 +401,3 @@ def _merge_time(cluster: ClusterSpec, m: int, k: int, n_messages: int) -> float:
     trace = Trace([Phase("merge", [Op("reduce", flops, 8.0 * m * k)])])
     return simulate(trace, cluster.coordinator_spec).time_s
 
-
-def _dedupe_batch(d: np.ndarray, i: np.ndarray, k: int):
-    """Representative seeds also live in some node's list; drop repeats."""
-    from ..parallel.reduce import dedupe_rows
-
-    return dedupe_rows(d, i, k)

@@ -406,6 +406,7 @@ class QualitySampler:
         if self.drift is not None:
             self.drift.observe_queries(Qs)
         out: list[QualitySample] = []
+        n_active = int(getattr(self.index, "n_active", D.shape[1]))
         for s, (r, key) in enumerate(picked):
             served_i = idx[r]
             served_d = dist[r]
@@ -422,7 +423,7 @@ class QualitySampler:
                 recall = min(hits, len(oracle_ids)) / len(oracle_ids)
             else:
                 recall = 1.0
-            rank_err = self._rank_error(D[s], served_i)
+            rank_err = self._rank_error(D[s], served_i, n_active)
             t0 = float(od[s, 0])
             f0 = float(served_d[0]) if np.isfinite(served_d[0]) else np.inf
             ratio = f0 / t0 if t0 > 0 else 1.0
@@ -444,17 +445,20 @@ class QualitySampler:
         return out
 
     @staticmethod
-    def _rank_error(D_row: np.ndarray, served_i: np.ndarray) -> float:
-        """Mean excess rank of the served ids: 0 when every served id
-        sits at (or above) its position in the oracle ordering."""
-        ids = [int(x) for x in served_i if x >= 0]
-        if not ids:
+    def _rank_error(D_row: np.ndarray, served_i: np.ndarray, n_active: int) -> float:
+        """Mean excess rank of the served slots: 0 when every served id
+        sits at (or above) its position in the oracle ordering.  A slot
+        left empty while ``n_active`` live points could fill it is a miss,
+        ranked past every live point."""
+        slots = np.asarray(served_i)[: min(len(served_i), n_active)]
+        if slots.size == 0:
             return 0.0
-        d_served = D_row[ids]
+        hit = slots >= 0
+        d_served = D_row[np.where(hit, slots, 0)]
         # rank of an id = how many points are strictly closer
         ranks = (D_row[None, :] < d_served[:, None]).sum(axis=1)
-        excess = [max(0, int(rank) - pos) for pos, rank in enumerate(ranks)]
-        return float(np.mean(excess))
+        ranks = np.where(hit, ranks, n_active)
+        return float(np.maximum(ranks - np.arange(slots.size), 0).mean())
 
     def observe_rules(self, rule_delta: dict, n_queries: int) -> None:
         """Forward one batch's pruning-rule deltas to the drift monitor

@@ -105,7 +105,8 @@ def merge_topk(
     D = np.concatenate([da, db], axis=1)
     ids = np.concatenate([ia, ib], axis=1)
     order = np.argsort(D, axis=1, kind="stable")[:, :k]
-    return np.take_along_axis(D, order, axis=1), np.take_along_axis(ids, order, axis=1)
+    rows = np.arange(D.shape[0])[:, None]
+    return D[rows, order], ids[rows, order]
 
 
 def merge_group_topk(
@@ -146,12 +147,11 @@ def dedupe_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drop duplicate indices per sorted candidate row, keeping the nearest.
 
-    Needed when candidate sources overlap (one-shot multi-probe lists, or
-    exact search's representative seeds vs ownership lists); freed slots
-    are refilled with ``inf``/``EMPTY_IDX`` padding at the row tail.
+    Needed when candidate sources overlap (one-shot multi-probe lists,
+    hierarchical levels, forest trees); freed slots are refilled with
+    ``inf``/``EMPTY_IDX`` padding at the row tail.
 
-    Fully vectorized — this sits on the per-micro-batch merge path of the
-    sharded streaming searcher.  A duplicate is any id already seen
+    Fully vectorized.  A duplicate is any id already seen
     earlier in its row, so on rows sorted ascending by distance the kept
     copy is the nearest one (and for equal ids the earliest — i.e. the
     tie at the smaller distance — survives, same as the scan order of the
@@ -180,3 +180,4 @@ def dedupe_rows(
     out_d[r, pos[r, c]] = d[r, c]
     out_i[r, pos[r, c]] = i[r, c]
     return out_d, out_i
+

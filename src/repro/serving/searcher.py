@@ -328,17 +328,23 @@ class StreamingSearcher:
         dist, idx = self.index.query(
             Qb, k, ctx=self.ctx, **self.query_kwargs
         )
-        if self.rescore:
-            d = rescore_pairs(self.index.metric, Qb, self.index.X, idx)
-            order = np.argsort(d, axis=1, kind="stable")
-            dist = np.take_along_axis(d, order, axis=1)
-            idx = np.take_along_axis(idx, order, axis=1)
-            idx = np.where(np.isfinite(dist), idx, -1)
         stats = getattr(self.index, "last_stats", None)
         if stats is not None:
             for key, val in stats.rule_counts().items():
                 self.rule_counts[key] = self.rule_counts.get(key, 0) + int(val)
-        return dist, idx
+        return self._rescored(Qb, dist, idx)
+
+    def _rescored(self, Qb, dist, idx):
+        """Re-score ``idx`` with the batching-invariant paired kernel and
+        re-rank (a no-op with rescoring off) — what makes answers ``==``
+        across batch shapes and shard counts."""
+        if not self.rescore:
+            return dist, idx
+        d = rescore_pairs(self.index.metric, Qb, self.index.X, idx)
+        order = np.argsort(d, axis=1, kind="stable")
+        dist = np.take_along_axis(d, order, axis=1)
+        idx = np.take_along_axis(idx, order, axis=1)
+        return dist, np.where(np.isfinite(dist), idx, -1)
 
     def _timed_dispatch(
         self, Qb: np.ndarray, width: int | None = None

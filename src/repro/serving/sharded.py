@@ -8,26 +8,28 @@ representatives together with their complete ownership lists, via
 :func:`~repro.distributed.partition.partition_by_representatives`), and
 serves every micro-batch the adaptive
 :class:`~repro.serving.batcher.QueryBatcher` forms with one
-scatter-gather wave:
+scatter-gather wave of the exact search's own **plan → scan → merge**
+(:mod:`repro.core.exact`):
 
-1. **coordinator stage 1**: ``BF(Q_batch, R)`` with distances retained,
-   ``gamma`` = distance to the k-th nearest representative, and the psi /
-   3-gamma pruning rules broadcast over the whole block — exactly the
-   exact search's pruning, so each query's surviving representatives are
-   known before anything leaves the coordinator;
-2. **scatter**: each query is routed only to the shards owning at least
-   one of its surviving representatives (an empty shard is never
-   contacted and never charged communication);
-3. **shard scan**: each contacted shard runs the Claim-2-trimmed grouped
-   prefix scans over its own lists and returns a per-query top-k partial;
-4. **gather + merge**: partials and the stage-1 representative seeds are
-   folded with :func:`~repro.parallel.reduce.merge_topk` at width ``2k``
-   (each candidate appears at most twice — once as a seed, once in its
-   owner's list — so ``2k`` slots cannot evict a genuine neighbor),
-   deduplicated with :func:`~repro.parallel.reduce.dedupe_rows`, and
-   re-scored with the batching-invariant paired kernel — the same
-   re-ranking the single-node searcher applies, so a sharded server's
-   answers are *bit-identical* to an unsharded
+1. **coordinator plan**: :meth:`~repro.core.exact.ExactRBC.plan` runs
+   ``BF(Q_batch, R)``, the psi / 3-gamma rules, the Claim-2 trim and the
+   seed selection once, with the searcher's ``query_kwargs`` (rule flags,
+   ``approx_eps``), and yields the rule counters;
+2. **scatter**: each query is routed only to the shards holding a
+   non-empty trimmed prefix of one of its surviving representatives (an
+   empty shard is never contacted and never charged communication);
+3. **shard scan**: each contacted shard runs
+   :meth:`~repro.core.exact.ExactRBC.scan` over its own representatives —
+   the same prepared-operand kernel and certified survivor threshold as
+   single-node search, on slices of the index's prepared candidate
+   operand — and returns a per-query top-k partial;
+4. **gather + merge**: the partials and the plan's seed block fold with
+   :func:`~repro.parallel.reduce.merge_topk` (lists are disjoint, so no
+   candidate arrives twice), then every answer is re-scored with the
+   batching-invariant paired kernel, the same re-ranking the single-node
+   searcher applies.  Single-node search is the one-shard partition of the
+   same plan, so a sharded server's answers and rule counters are
+   *identical* to an unsharded
    :class:`~repro.serving.searcher.StreamingSearcher` over the same index.
 
 **Stragglers and failures.**  Shards are simulated in-process, so each
@@ -58,14 +60,12 @@ from ..distributed.partition import (
     partition_by_representatives,
     partition_reps_random,
 )
-from ..metrics.engine import rescore_pairs
-from ..parallel.reduce import (
-    EMPTY_IDX,
-    dedupe_rows,
-    merge_group_topk,
-    merge_topk,
-    topk_of_block,
-)
+from ..parallel.reduce import EMPTY_IDX, merge_topk
+
+# span wrappers (perfbench/spans.py) patch these kernels by their names in
+# every serving module, so they stay attributes of this one too
+from ..metrics.engine import rescore_pairs  # noqa: F401
+from ..parallel.reduce import dedupe_rows, merge_group_topk  # noqa: F401
 from ..runtime.report import StreamReport
 from .searcher import StreamingSearcher
 
@@ -159,7 +159,7 @@ class ShardedStreamingSearcher(StreamingSearcher):
     shard_seed:
         RNG seed of the ``"random"`` partition.
 
-    The modeled per-batch service time is coordinator work (stage 1 +
+    The modeled per-batch service time is coordinator work (plan +
     merge, measured) plus communication (when a cluster is attached)
     plus the max over shard completions; answers are bit-identical to
     the unsharded searcher's (see module docstring).
@@ -191,23 +191,18 @@ class ShardedStreamingSearcher(StreamingSearcher):
         target = getattr(index, "shard_target", None)
         if callable(target):
             index = target()
-        for attr in ("lists", "list_dists", "rep_ids", "radii"):
-            if getattr(index, attr, None) is None:
-                raise ValueError(
-                    "sharded serving requires a built RBC index "
-                    f"(missing {attr!r})"
-                )
-        getattr(index, "_require_true_metric", lambda _w: None)(
-            "the sharded searcher's pruning"
-        )
+        if getattr(index, "rep_ids", None) is None:
+            raise ValueError("sharded serving requires a built RBC index")
         n_listed = sum(len(lst) for lst in index.lists)
         if n_listed != index.n:
             # overlapping (one-shot) lists would let one point surface
-            # from several shards, breaking the 2k merge-width bound
+            # from several shards
             raise ValueError(
                 "sharded serving requires the exact build's disjoint "
                 f"ownership lists ({n_listed} listed points != n={index.n})"
             )
+        if not callable(getattr(index, "scan", None)):
+            raise ValueError("sharded serving requires the exact RBC search")
         super().__init__(index, **kwargs)
         self.n_shards = int(n_shards)
         self.replicas = int(replicas)
@@ -229,10 +224,6 @@ class ShardedStreamingSearcher(StreamingSearcher):
         self.shard_reps = [
             np.asarray(sorted(reps), dtype=np.int64) for reps in parts
         ]
-        #: representative index -> owning shard
-        self.shard_of = np.full(nr, -1, dtype=np.int64)
-        for w, reps in enumerate(self.shard_reps):
-            self.shard_of[reps] = w
 
         # lifetime counters (per-stream values are snapshot diffs)
         self.rounds = 0
@@ -288,56 +279,6 @@ class ShardedStreamingSearcher(StreamingSearcher):
             range(1, self.replicas), key=lambda r: (self._delay(w, r), r)
         )
 
-    def _scan_shard(
-        self,
-        Qb: np.ndarray,
-        w: int,
-        rows: np.ndarray,
-        D_R: np.ndarray,
-        gamma: np.ndarray,
-        keep: np.ndarray,
-        width: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, int, int]:
-        """Shard ``w``'s node-local stage 2 for the routed queries.
-
-        Returns ``(dist, idx, evals, trimmed)`` with ``dist``/``idx`` of
-        shape ``(len(rows), k)`` — the per-query top-k among candidates
-        owned by this shard's representatives, produced by the same
-        Claim-2-trimmed grouped prefix scans as the exact search.
-        """
-        index, metric = self.index, self.index.metric
-        k = self.k if width is None else int(width)
-        best_d = np.full((rows.size, k), np.inf)
-        best_i = np.full((rows.size, k), EMPTY_IDX, dtype=np.int64)
-        evals = trimmed = 0
-        lists, list_dists = index.lists, index.list_dists
-        for j in self.shard_reps[w]:
-            sub = np.flatnonzero(keep[rows, j])
-            if sub.size == 0:
-                continue
-            lst = lists[j]
-            if lst.size == 0:
-                continue
-            bound = D_R[rows[sub], j] + gamma[rows[sub]]
-            cut = np.searchsorted(list_dists[j], bound, side="right")
-            trimmed += int(sub.size * lst.size - cut.sum())
-            nz = cut > 0
-            sub, cut = sub[nz], cut[nz]
-            if sub.size == 0:
-                continue
-            prefix_len = int(cut.max())
-            prefix = lst[:prefix_len]
-            D = metric.pairwise(
-                metric.take(Qb, rows[sub]), metric.take(index.X, prefix)
-            )
-            if int(cut.min()) < prefix_len:
-                # ragged group scanned as one padded block: a row only
-                # owns its own trimmed prefix
-                D[np.arange(prefix_len)[None, :] >= cut[:, None]] = np.inf
-            merge_group_topk(best_d, best_i, sub, D, prefix, n_valid=cut)
-            evals += int(sub.size) * prefix_len
-        return best_d, best_i, evals, trimmed
-
     # ------------------------------------------------------------- dispatch
     def _timed_dispatch(
         self, Qb: np.ndarray, width: int | None = None
@@ -352,62 +293,39 @@ class ShardedStreamingSearcher(StreamingSearcher):
         ``width`` overrides the dispatch top-k (default ``self.k``).
         """
         t_start = time.perf_counter()
-        index, metric = self.index, self.index.metric
+        index = self.index
+        counter = index.metric.counter
         k = self.k if width is None else int(width)
         m = int(Qb.shape[0])
-        nr = index.n_reps
         tracer = self.ctx.tracer
 
-        # ---- coordinator stage 1: BF(Q, R), gamma, pruning rules
-        D_R = metric.pairwise(Qb, index.rep_data)
-        if nr >= k:
-            gamma = np.partition(D_R, k - 1, axis=1)[:, k - 1]
-        else:
-            # pruning is unsound when fewer representatives than k exist
-            gamma = np.full(m, np.inf)
-        psi_kept = D_R - index.radii[None, :] < gamma[:, None]
-        g3_kept = D_R <= 3.0 * gamma[:, None]
-        keep = psi_kept & g3_kept
+        # ---- coordinator: stage 1 and every pruning decision
+        plan = index.plan(Qb, k, ctx=self.ctx, **self.query_kwargs)
+        for key, val in plan.stats.rule_counts().items():
+            self.rule_counts[key] = self.rule_counts.get(key, 0) + int(val)
 
-        counts = self.rule_counts
-        counts["n_queries"] = counts.get("n_queries", 0) + m
-        counts["pruned_by_psi"] = counts.get("pruned_by_psi", 0) + int(
-            m * nr - np.count_nonzero(psi_kept)
-        )
-        counts["pruned_by_3gamma"] = counts.get("pruned_by_3gamma", 0) + int(
-            np.count_nonzero(psi_kept & ~g3_kept)
-        )
-
-        # ---- scatter: route each query to the shards owning survivors
+        # ---- scatter: route each query to the shards holding a non-empty
+        # trimmed prefix of one of its surviving representatives
+        live = plan.cuts > 0
         shard_rows = [
-            np.flatnonzero(keep[:, reps].any(axis=1))
-            if reps.size
-            else np.empty(0, dtype=np.int64)
-            for reps in self.shard_reps
+            np.flatnonzero(live[:, reps].any(axis=1)) for reps in self.shard_reps
         ]
 
         # ---- shard scans (simulated in-process, walls measured per task)
         partials: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         walls: dict[int, float] = {}
-        trimmed = 0
-        examined = 0
         for w, rows in enumerate(shard_rows):
             if rows.size == 0:
                 continue
             with tracer.span("serve:shard", shard=w, queries=int(rows.size)):
                 t0 = time.perf_counter()
-                pd, pi, evals_w, trim_w = self._scan_shard(
-                    Qb, w, rows, D_R, gamma, keep, width
-                )
+                evals0 = counter.n_evals
+                partials[w] = index.scan(plan, rows, self.shard_reps[w])
                 walls[w] = time.perf_counter() - t0
-            partials[w] = (pd, pi)
-            trimmed += trim_w
-            examined += evals_w
             tally = self.shard_tallies[w]
             tally.tasks += 1
             tally.queries += int(rows.size)
-            tally.evals += evals_w
-        counts["trimmed_by_4gamma"] = counts.get("trimmed_by_4gamma", 0) + trimmed
+            tally.evals += counter.n_evals - evals0
 
         # ---- straggler handling: completion per task, hedged if due
         cutoff = np.inf
@@ -445,12 +363,10 @@ class ShardedStreamingSearcher(StreamingSearcher):
         dim = int(Qb.shape[1])
         scatter = [0.0] * self.n_shards
         gather = [0.0] * self.n_shards
-        for w, rows in enumerate(shard_rows):
-            if rows.size == 0:
-                continue
+        for w in walls:
             mult = 2.0 if w in hedged else 1.0
-            scatter[w] = mult * rows.size * dim * _FLOAT_BYTES
-            gather[w] = mult * rows.size * k * (_FLOAT_BYTES + _ID_BYTES)
+            scatter[w] = mult * shard_rows[w].size * dim * _FLOAT_BYTES
+            gather[w] = mult * shard_rows[w].size * k * (_FLOAT_BYTES + _ID_BYTES)
         msgs = 2 * len(walls) + 2 * len(hedged)
         self.comm.add(CommStats(scatter, gather, msgs))
         comm_s = 0.0
@@ -459,39 +375,15 @@ class ShardedStreamingSearcher(StreamingSearcher):
                 scatter
             ) + self.cluster.comm_phase_time(gather)
 
-        # ---- gather + merge: seeds, then each shard's partial, at 2k
-        W = 2 * k
-        kk = min(k, nr)
-        seed_cols = np.argpartition(D_R, kk - 1, axis=1)[:, :kk]
-        sd = np.take_along_axis(D_R, seed_cols, axis=1)
-        sg = index.rep_ids[seed_cols]
-        acc_d, li = topk_of_block(sd, W)
-        acc_i = np.where(
-            li >= 0,
-            np.take_along_axis(sg, np.clip(li, 0, None), axis=1),
-            EMPTY_IDX,
-        ).astype(np.int64)
-        acc_i = np.where(np.isfinite(acc_d), acc_i, EMPTY_IDX)
-        counts["candidates_examined"] = (
-            counts.get("candidates_examined", 0) + examined + m * kk
-        )
-        for w, (pd, pi) in partials.items():
+        # ---- gather + merge: the shards' partials, then the plan's seeds
+        dist = np.full((m, k), np.inf)
+        idx = np.full((m, k), EMPTY_IDX, dtype=np.int64)
+        for w, part in partials.items():
             rows = shard_rows[w]
-            pd = np.pad(pd, ((0, 0), (0, W - k)), constant_values=np.inf)
-            pi = np.pad(pi, ((0, 0), (0, W - k)), constant_values=EMPTY_IDX)
-            acc_d[rows], acc_i[rows] = merge_topk(
-                (acc_d[rows], acc_i[rows]), (pd, pi)
-            )
-        dist, idx = dedupe_rows(acc_d, acc_i, k)
+            dist[rows], idx[rows] = merge_topk((dist[rows], idx[rows]), part)
+        dist, idx = merge_topk((dist, idx), (plan.seed_d, plan.seed_i))
 
-        # the same batching-invariant re-ranking as the base searcher —
-        # this is what makes sharded and single-node answers `==`
-        if self.rescore:
-            d = rescore_pairs(metric, Qb, index.X, idx)
-            order = np.argsort(d, axis=1, kind="stable")
-            dist = np.take_along_axis(d, order, axis=1)
-            idx = np.take_along_axis(idx, order, axis=1)
-            idx = np.where(np.isfinite(dist), idx, -1)
+        dist, idx = self._rescored(Qb, dist, idx)
 
         coord_wall = (time.perf_counter() - t_start) - sum(walls.values())
         service = coord_wall + comm_s + (

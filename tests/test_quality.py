@@ -248,6 +248,22 @@ class TestSamplerDeterminism:
             assert s.rank_error == pytest.approx(1.0)
             assert s.distance_ratio > 1.0
 
+    def test_rank_error_scores_missing_slots_as_misses(self, data, exact):
+        X, _ = data
+        sampler = QualitySampler(exact, 3, fraction=1.0, seed=0)
+        n = exact.n_active
+        D_row = sampler.oracle_topk(X[:1] + 1e-3)[2][0]
+        best = np.argsort(D_row)[:3]
+        assert sampler._rank_error(D_row, best, n) == 0.0
+        # an empty answer is the worst score, not a perfect one
+        empty = np.full(3, -1)
+        assert sampler._rank_error(D_row, empty, n) == pytest.approx(n - 1.0)
+        # one missing slot of three: only that slot is charged
+        short = np.array([best[0], best[1], -1])
+        assert sampler._rank_error(D_row, short, n) == pytest.approx((n - 2) / 3)
+        # slots past the live point count are legitimately empty
+        assert sampler._rank_error(np.array([0.1]), np.array([0, -1, -1]), 1) == 0.0
+
 
 # -------------------------------------------------------------------- drift
 class TestDrift:

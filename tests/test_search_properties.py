@@ -7,7 +7,7 @@ the approximate structures must respect their contracts.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -58,6 +58,14 @@ def test_property_oneshot_never_beats_optimal(X, seed):
 
 @settings(max_examples=20, deadline=None)
 @given(SMALL_DATA, st.floats(min_value=0.0, max_value=3.0), st.integers(0, 99))
+# queries 0.01 from representatives far from the origin: the stage-1 and
+# stage-2 Gram values of the nearest representative differ by an absolute
+# rounding error that an uncertified survivor threshold drops (empty row)
+@example(
+    X=np.round(np.random.default_rng(94).normal(size=(50, 2)) * 3 + 100.0, 3),
+    eps=0.0,
+    seed=94,
+)
 def test_property_approx_contract(X, eps, seed):
     Q = X[:4] + 0.01
     true_d, _ = bf_knn(Q, X, k=1)
