@@ -395,13 +395,11 @@ class ExactRBC(RBCBase):
         plan: StagePlan,
         rows=slice(None),
         reps: np.ndarray | None = None,
-        width: int | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Stage 2 of ``plan`` for the query ``rows`` over the trimmed
         prefixes of the representatives ``reps`` (default: all): a dense
-        ``(len(rows), width)`` top-``width`` partial (``width`` defaults to
-        ``plan.k``), sorted, padded with ``inf`` / ``EMPTY_IDX``, seeds not
-        included.
+        ``(len(rows), plan.k)`` top-k partial, sorted, padded with ``inf`` /
+        ``EMPTY_IDX``, seeds not included.
 
         Each representative's group of rows scans one dense block, padded
         to the longest prefix and masked back to each row's cut.  On the
@@ -411,7 +409,6 @@ class ExactRBC(RBCBase):
         metrics) each group folds in with ``merge_group_topk``.
         """
         metric = self.metric
-        width = plan.k if width is None else int(width)
         ridx = np.arange(len(plan.D_R))[rows]
         cuts = plan.cuts[rows] if reps is None else plan.cuts[rows][:, reps]
         c = ridx.size
@@ -421,7 +418,8 @@ class ExactRBC(RBCBase):
         dim = metric.dim(self.rep_data)
         # float32 mode keeps extra result slots so rounding noise cannot
         # evict the true k-th neighbor before the float64 refinement
-        k_out = width + max(8, width) if plan.fp32 and not quant else width
+        k = plan.k
+        k_out = k + max(8, k) if plan.fp32 and not quant else k
         squared = engine and metric.squared_ok
         if engine:
             Qp = plan.Qp_q if quant else plan.Qp
@@ -493,11 +491,11 @@ class ExactRBC(RBCBase):
                                       "exact:stage2", itemsize=itemsize)
                     _record_select(recorder, sel.size, plen, "exact:stage2",
                                    itemsize=itemsize)
-                    # two (rows, width) candidate blocks: distances at the
+                    # two (rows, k) candidate blocks: distances at the
                     # compute itemsize plus int64 ids
                     recorder.record(
-                        Op(kind="reduce", flops=4.0 * sel.size * width,
-                           bytes=2.0 * sel.size * width * (itemsize + 8.0),
+                        Op(kind="reduce", flops=4.0 * sel.size * k,
+                           bytes=2.0 * sel.size * k * (itemsize + 8.0),
                            vectorizable=True, tag="exact:stage2:merge")
                     )
             if touched is not None and touched.any():
@@ -515,7 +513,7 @@ class ExactRBC(RBCBase):
             r_s = r_all[order]
             rank = np.arange(r_s.size) - np.searchsorted(r_s, np.arange(c + 1))[r_s]
             if quant:
-                k_out = max(int(rank.max()) + 1 if rank.size else 0, width)
+                k_out = max(int(rank.max()) + 1 if rank.size else 0, k)
             top = rank < k_out
             dists = np.full((c, k_out), np.inf)
             idxs = np.full((c, k_out), EMPTY_IDX, dtype=np.int64)
@@ -523,7 +521,7 @@ class ExactRBC(RBCBase):
             idxs[r_s[top], rank[top]] = np.concatenate(acc_g)[order][top]
         if quant or plan.fp32:
             # exact float64 re-score and re-rank of the candidates
-            return refine_topk(metric, metric.take(plan.Qb, ridx), self.X, idxs, width)
+            return refine_topk(metric, metric.take(plan.Qb, ridx), self.X, idxs, k)
         if squared:
             dists = metric.from_squared(dists)
         return dists, idxs
@@ -764,29 +762,30 @@ class ExactRBC(RBCBase):
         ctx = self._call_ctx(ctx, recorder=recorder)
         recorder = ctx.recorder
         dtype = ctx.dtype_or_default
-        metric = self.metric
-        Qb = Q if _is_batch(metric, Q) else metric._as_batch(Q)
-        m = metric.length(Qb)
-        if m == 0:
-            return []
+        Qb = Q if _is_batch(self.metric, Q) else self.metric._as_batch(Q)
+        m = self.metric.length(Qb)
         engine = self._engine_active(ctx)
         fp32 = engine and dtype == "float32"
-        Qp = metric.prepare(Qb, dtype=dtype) if engine else None
-        Cp = self._prepared_cands(dtype) if engine else None
-        itemsize = float(np.dtype(dtype).itemsize) if engine else 8.0
+        Qp = self.metric.prepare(Qb, dtype=dtype) if engine else None
+        if engine:
+            Cp = self._prepared_cands(str(Qp.data.dtype))
+            packed = self._packed
+            itemsize = float(Qp.data.dtype.itemsize)
         D_R = self._stage1_distances(Qb, recorder, Qp=Qp)
-        dim = metric.dim(self.rep_data)
+        dim = self.metric.dim(self.rep_data)
         # float32 windows/thresholds are slack-widened; candidate hits are
         # then verified with the exact float64 distance
         slack = 1e-4 if fp32 else 0.0
 
         keep = D_R <= (eps + self.radii[None, :]) * (1.0 + slack)
-        acc_r = [np.empty(0, dtype=np.int64)]
-        acc_d = [np.empty(0)]
-        acc_i = [np.empty(0, dtype=np.int64)]
+        parts_d: list[list[np.ndarray]] = [[] for _ in range(m)]
+        parts_i: list[list[np.ndarray]] = [[] for _ in range(m)]
         with recorder.phase("exact:range"):
             for j in np.flatnonzero(keep.any(axis=0)):
-                lst, ld = self.lists[j], self.list_dists[j]
+                lst = self.lists[j]
+                ld = self.list_dists[j]
+                if lst.size == 0:
+                    continue
                 rows = np.flatnonzero(keep[:, j])
                 tol = slack * (np.abs(D_R[rows, j]) + eps)
                 lsl = np.searchsorted(ld, D_R[rows, j] - eps - tol, side="left")
@@ -800,32 +799,50 @@ class ExactRBC(RBCBase):
                 wlo, whi = int(lsl.min()), int(lsr.max())
                 window = lst[wlo:whi]
                 if engine:
-                    plo = int(self._packed.starts[j])
-                    D = metric.pairwise_prepared(
+                    plo = int(packed.starts[j])
+                    D = self.metric.pairwise_prepared(
                         Qp.take(rows), Cp.slice(plo + wlo, plo + whi)
                     )
-                else:
-                    D = metric.pairwise(
-                        metric.take(Qb, rows), metric.take(self.X, window)
+                    _record_dist_tile(
+                        recorder, self.metric, rows.size, window.size, dim,
+                        "exact:range", itemsize=itemsize,
                     )
-                _record_dist_tile(
-                    recorder, metric, rows.size, window.size, dim,
-                    "exact:range", itemsize=itemsize,
-                )
+                else:
+                    D = self.metric.pairwise(
+                        self.metric.take(Qb, rows),
+                        self.metric.take(self.X, window),
+                    )
+                    _record_dist_tile(
+                        recorder, self.metric, rows.size, window.size, dim,
+                        "exact:range",
+                    )
                 cols = np.arange(wlo, whi)[None, :]
                 eps_scan = eps + slack * (1.0 + np.abs(D)) if fp32 else eps
                 hit = (cols >= lsl[:, None]) & (cols < lsr[:, None]) & (D <= eps_scan)
-                r, c = np.nonzero(hit)
-                acc_r.append(rows[r])
-                acc_d.append(D[r, c])
-                acc_i.append(window[c])
+                for t, i_row in enumerate(rows):
+                    sel = np.flatnonzero(hit[t])
+                    if not sel.size:
+                        continue
+                    if fp32:
+                        # exact float64 verification of the float32 hits
+                        d = self.metric.pairwise(
+                            self.metric.take(Qb, [i_row]),
+                            self.metric.take(self.X, window[sel]),
+                        )[0]
+                        inside = d <= eps
+                        parts_d[i_row].append(d[inside])
+                        parts_i[i_row].append(window[sel][inside])
+                    else:
+                        parts_d[i_row].append(D[t, sel])
+                        parts_i[i_row].append(window[sel])
 
-        r_all, d_all, i_all = (np.concatenate(a) for a in (acc_r, acc_d, acc_i))
-        if fp32:
-            # exact float64 verification of the float32 hits
-            d_all = metric.paired(metric.take(Qb, r_all), metric.take(self.X, i_all))
-            inside = d_all <= eps
-            r_all, d_all, i_all = r_all[inside], d_all[inside], i_all[inside]
-        order = np.lexsort((d_all, r_all))
-        cuts = np.searchsorted(r_all[order], np.arange(1, m))
-        return list(zip(np.split(d_all[order], cuts), np.split(i_all[order], cuts)))
+        out = []
+        for r in range(m):
+            if parts_d[r]:
+                d = np.concatenate(parts_d[r])
+                gi = np.concatenate(parts_i[r]).astype(np.int64)
+                order = np.argsort(d, kind="stable")
+                out.append((d[order], gi[order]))
+            else:
+                out.append((np.empty(0), np.empty(0, dtype=np.int64)))
+        return out

@@ -105,8 +105,7 @@ def merge_topk(
     D = np.concatenate([da, db], axis=1)
     ids = np.concatenate([ia, ib], axis=1)
     order = np.argsort(D, axis=1, kind="stable")[:, :k]
-    rows = np.arange(D.shape[0])[:, None]
-    return D[rows, order], ids[rows, order]
+    return np.take_along_axis(D, order, axis=1), np.take_along_axis(ids, order, axis=1)
 
 
 def merge_group_topk(
@@ -180,4 +179,3 @@ def dedupe_rows(
     out_d[r, pos[r, c]] = d[r, c]
     out_i[r, pos[r, c]] = i[r, c]
     return out_d, out_i
-
