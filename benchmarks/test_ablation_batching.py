@@ -17,6 +17,7 @@ from repro.baselines import BruteForceIndex
 from repro.core import ExactRBC
 from repro.data import load
 from repro.eval import format_table, traced_query
+from repro.runtime import ExecContext
 from repro.simulator import AMD_48CORE
 
 BATCHES = (1, 8, 64, 512)
@@ -35,7 +36,8 @@ def run():
             batches = 0
             for lo in range(0, TOTAL_QUERIES, b):
                 run_ = traced_query(
-                    index, Q[lo : lo + b], [AMD_48CORE], k=1, **kwargs
+                    index, Q[lo : lo + b], [AMD_48CORE], k=1,
+                    ctx=ExecContext(**kwargs),
                 )
                 total += run_.sim_time(AMD_48CORE)
                 batches += 1

@@ -19,6 +19,7 @@ from repro.baselines import BruteForceIndex, CoverTree
 from repro.core import ExactRBC, OneShotRBC
 from repro.data import load
 from repro.eval import format_table, traced_query
+from repro.runtime import ExecContext
 from repro.simulator import AMD_48CORE, TESLA_C2050, strong_scaling
 from repro.simulator.trace import TraceRecorder
 
@@ -34,7 +35,7 @@ def scaling_rows():
         ("exact RBC", ExactRBC(seed=0).build(X, n_reps=500), {}),
     ]:
         rec = TraceRecorder()
-        index.query(Q, 1, recorder=rec, **kwargs)
+        index.query(Q, 1, ctx=ExecContext(recorder=rec, **kwargs))
         base = None
         for cores, res in strong_scaling(rec.trace, AMD_48CORE, CORES):
             if base is None:
@@ -55,7 +56,8 @@ def divergence_rows():
     run_rbc = traced_query(rbc, Q, [TESLA_C2050], k=1)
     brute = BruteForceIndex().build(X)
     run_bf = traced_query(
-        brute, Q, [TESLA_C2050], k=1, tile_cols=2048, row_chunk=512
+        brute, Q, [TESLA_C2050], k=1,
+        ctx=ExecContext(tile_cols=2048, row_chunk=512),
     )
     for label, run in [
         ("cover tree", run_ct), ("brute force", run_bf), ("one-shot RBC", run_rbc)

@@ -28,6 +28,7 @@ from repro.baselines import BruteForceIndex
 from repro.core import ExactRBC, standard_n_reps
 from repro.data import load
 from repro.eval import format_table, traced_query
+from repro.runtime import ExecContext
 from repro.simulator import AMD_48CORE
 
 #: datasets and their (scale, cap): large enough for sqrt(n) to win,
@@ -50,7 +51,7 @@ MACHINES = [AMD_48CORE]
 #: brute-force blocking: one pass over the database per query block (the
 #: recorded trace subdivides each tile into row bands, so the machine
 #: models still see abundant parallelism)
-BF_GRAIN = dict(tile_cols=2048, row_chunk=512)
+BF_GRAIN = ExecContext(tile_cols=2048, row_chunk=512)
 
 
 def run_one(name: str, scale: float, max_n: int):
@@ -58,7 +59,7 @@ def run_one(name: str, scale: float, max_n: int):
     n = X.shape[0]
 
     brute = BruteForceIndex().build(X)
-    brute_run = traced_query(brute, Q, MACHINES, k=1, **BF_GRAIN)
+    brute_run = traced_query(brute, Q, MACHINES, k=1, ctx=BF_GRAIN)
 
     rbc = ExactRBC(seed=0)
     t0 = time.perf_counter()

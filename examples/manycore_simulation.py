@@ -14,7 +14,7 @@ reproduces the paper's three hardware stories in miniature:
 
 import numpy as np
 
-from repro import BruteForceIndex, CoverTree, ExactRBC, OneShotRBC
+from repro import BruteForceIndex, CoverTree, ExactRBC, ExecContext, OneShotRBC
 from repro.data import manifold
 from repro.simulator import (
     AMD_48CORE,
@@ -38,7 +38,7 @@ for name, index, kwargs in [
     ("cover tree", CoverTree().build(X[:5_000]), {}),
 ]:
     rec = TraceRecorder()
-    index.query(Q, 1, recorder=rec, **kwargs)
+    index.query(Q, 1, ctx=ExecContext(recorder=rec, **kwargs))
     traces[name] = rec.trace
 
 # --------------------------------------------- replay on each machine

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..metrics import get_metric
 from ..metrics.base import Metric
-from ..runtime.context import ExecContext, resolve_ctx
+from ..runtime.context import ExecContext
 from ..simulator.trace import NULL_RECORDER, Op, TraceRecorder
 from .base import Capabilities, Index
 
@@ -53,11 +53,10 @@ class AESA(Index):
         self,
         X,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "AESA":
         """Precompute the full distance matrix (one giant BF(X, X))."""
-        recorder = resolve_ctx(ctx, recorder=recorder).recorder
+        recorder = NULL_RECORDER if ctx is None else ctx.recorder
         n = self.metric.length(X)
         if n == 0:
             raise ValueError("database is empty")
@@ -85,14 +84,13 @@ class AESA(Index):
         Q,
         k: int = 1,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         if self.D is None:
             raise RuntimeError("call build(X) first")
         if k < 1:
             raise ValueError("k must be >= 1")
-        recorder = resolve_ctx(ctx, recorder=recorder).recorder
+        recorder = NULL_RECORDER if ctx is None else ctx.recorder
         from ..parallel.bruteforce import _is_batch
 
         Qb = Q if _is_batch(self.metric, Q) else self.metric._as_batch(Q)

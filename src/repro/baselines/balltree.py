@@ -20,7 +20,7 @@ import numpy as np
 
 from ..metrics import get_metric
 from ..metrics.base import Metric
-from ..runtime.context import ExecContext, resolve_ctx
+from ..runtime.context import ExecContext
 from ..simulator.trace import NULL_RECORDER, Op, TraceRecorder
 from .base import Capabilities, Index
 
@@ -69,10 +69,9 @@ class BallTree(Index):
         self,
         X,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "BallTree":
-        recorder = resolve_ctx(ctx, recorder=recorder).recorder
+        recorder = NULL_RECORDER if ctx is None else ctx.recorder
         self.X = X
         n = self.metric.length(X)
         if n == 0:
@@ -131,10 +130,9 @@ class BallTree(Index):
         Q,
         k: int = 1,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        recorder = resolve_ctx(ctx, recorder=recorder).recorder
+        recorder = NULL_RECORDER if ctx is None else ctx.recorder
         if self.root is None:
             raise RuntimeError("call build(X) first")
         if k < 1:

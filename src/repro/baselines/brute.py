@@ -15,8 +15,7 @@ import numpy as np
 from ..metrics import get_metric
 from ..metrics.base import Metric
 from ..parallel.bruteforce import bf_knn, bf_range
-from ..runtime.context import ExecContext, resolve_ctx
-from ..simulator.trace import NULL_RECORDER, TraceRecorder
+from ..runtime.context import ExecContext
 from .base import Capabilities, Index
 
 __all__ = ["BruteForceIndex"]
@@ -36,11 +35,8 @@ class BruteForceIndex(Index):
     def __init__(
         self,
         metric: str | Metric = "euclidean",
-        *,
-        executor=None,
     ) -> None:
         self.metric = get_metric(metric)
-        self.executor = executor
         self.X = None
         self.n = 0
 
@@ -48,7 +44,6 @@ class BruteForceIndex(Index):
         self,
         X,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ):
         """Store the database (no preprocessing)."""
@@ -61,34 +56,26 @@ class BruteForceIndex(Index):
         Q,
         k: int = 1,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
-        executor=None,
         ctx: ExecContext | None = None,
-        **bf_kwargs,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Extra ``bf_kwargs`` (``tile_cols``, ``row_chunk``, ``dtype``)
-        reach :func:`~repro.parallel.bruteforce.bf_knn`; benchmarks use
-        them to set the parallel grain the machine models schedule.  An
-        explicit ``ctx`` (or ``executor=``) overrides the index's
-        configured executor for this call."""
+        """``ctx`` reaches :func:`~repro.parallel.bruteforce.bf_knn` as is;
+        benchmarks set the parallel grain the machine models schedule with
+        its ``tile_cols``/``row_chunk``."""
         if self.X is None:
             raise RuntimeError("call build(X) first")
-        call = resolve_ctx(ctx, recorder=recorder, executor=executor)
-        call = call.overriding(ExecContext(executor=self.executor))
-        return bf_knn(Q, self.X, self.metric, k=k, ctx=call, **bf_kwargs)
+        return bf_knn(Q, self.X, self.metric, k=k, ctx=ctx)
 
     def range_query(
         self,
         Q,
         eps: float,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         if self.X is None:
             raise RuntimeError("call build(X) first")
         return bf_range(
-            Q, self.X, eps, self.metric, ctx=resolve_ctx(ctx, recorder=recorder)
+            Q, self.X, eps, self.metric, ctx=ctx
         )
 
     def memory_footprint(self) -> int:

@@ -24,7 +24,7 @@ import numpy as np
 
 from ..metrics import get_metric
 from ..metrics.base import Metric
-from ..runtime.context import ExecContext, resolve_ctx
+from ..runtime.context import ExecContext
 from ..simulator.trace import NULL_RECORDER, Op, TraceRecorder
 from .base import Capabilities, Index
 
@@ -87,11 +87,10 @@ class CoverTree(Index):
         self,
         X,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "CoverTree":
         """Insert every point; deterministic given the dataset order."""
-        recorder = resolve_ctx(ctx, recorder=recorder).recorder
+        recorder = NULL_RECORDER if ctx is None else ctx.recorder
         self.X = X
         self.n = self.metric.length(X)
         if self.n == 0:
@@ -149,7 +148,6 @@ class CoverTree(Index):
         Q,
         k: int = 1,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact k-NN by best-first search with the subtree-radius bound.
@@ -158,7 +156,7 @@ class CoverTree(Index):
         below the current k-th best distance; by the triangle inequality no
         pruned subtree can contain a closer point.
         """
-        recorder = resolve_ctx(ctx, recorder=recorder).recorder
+        recorder = NULL_RECORDER if ctx is None else ctx.recorder
         if self.root is None:
             raise RuntimeError("call build(X) first")
         if k < 1:

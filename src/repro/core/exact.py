@@ -154,7 +154,6 @@ class ExactRBC(RBCBase):
         n_reps: int | None = None,
         *,
         c: float = 1.0,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "ExactRBC":
         """Build: sample ``R``, then one ``BF(X, R)`` assigns every point to
@@ -165,7 +164,7 @@ class ExactRBC(RBCBase):
         radii must stay exact bounds), so only ``ctx``'s transport fields
         — executor, recorder, chunking — apply here.
         """
-        ctx = self._call_ctx(ctx, recorder=recorder).transport()
+        ctx = self._call_ctx(ctx).transport()
         self._require_true_metric("the exact search's pruning")
         n = self.metric.length(X)
         if n == 0:
@@ -205,8 +204,6 @@ class ExactRBC(RBCBase):
         use_3gamma_rule: bool = True,
         use_trim: bool = True,
         approx_eps: float = 0.0,
-        recorder: TraceRecorder = NULL_RECORDER,
-        executor=None,
         ctx: ExecContext | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Exact k-NN (or ``(1 + approx_eps)``-approximate if ``> 0``):
@@ -216,14 +213,13 @@ class ExactRBC(RBCBase):
         rules disabled the second stage degenerates to full brute force
         over every ownership list (still correct, just slow).
 
-        ``ctx`` (or the legacy ``recorder``/``executor`` kwargs it
-        subsumes) overrides the index configuration for this call; set
-        ``ctx`` fields win, then kwargs, then the index defaults.
+        ``ctx`` overrides the index configuration for this call: set
+        ``ctx`` fields win, then the index defaults.
 
         Returns ``(dist, idx)`` of shape ``(m, k)``, rows sorted ascending.
         """
         _check_query_args(k, approx_eps)
-        ctx = self._call_ctx(ctx, recorder=recorder, executor=executor)
+        ctx = self._call_ctx(ctx)
         if self.quantizer is not None and self._engine_active(ctx):
             qplan = self._quant_plan()
             Qb = Q if _is_batch(self.metric, Q) else self.metric._as_batch(Q)
@@ -741,7 +737,6 @@ class ExactRBC(RBCBase):
         Q,
         eps: float,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Exact ε-range search: every point within ``eps`` of each query.
@@ -759,7 +754,7 @@ class ExactRBC(RBCBase):
         self._require_built()
         if eps < 0:
             raise ValueError("eps must be non-negative")
-        ctx = self._call_ctx(ctx, recorder=recorder)
+        ctx = self._call_ctx(ctx)
         recorder = ctx.recorder
         dtype = ctx.dtype_or_default
         Qb = Q if _is_batch(self.metric, Q) else self.metric._as_batch(Q)

@@ -24,8 +24,8 @@ from ..metrics import get_metric
 from ..metrics.base import Metric
 from ..parallel.bruteforce import _is_batch, _record_dist_tile
 from ..parallel.reduce import EMPTY_IDX, dedupe_rows, merge_topk, topk_of_block
-from ..runtime.context import ExecContext, resolve_ctx
-from ..simulator.trace import NULL_RECORDER, TraceRecorder
+from ..runtime.context import ExecContext
+from ..simulator.trace import NULL_RECORDER
 from .oneshot import OneShotRBC
 from .stats import SearchStats
 
@@ -45,11 +45,9 @@ class HierarchicalOneShotRBC:
         metric: str | Metric = "euclidean",
         *,
         seed: int | np.random.Generator | None = 0,
-        executor=None,
     ) -> None:
         self.metric = get_metric(metric)
         self.seed = seed
-        self.executor = executor
         self.outer: OneShotRBC | None = None
         self.inner: OneShotRBC | None = None
         self.last_stats: SearchStats | None = None
@@ -66,7 +64,6 @@ class HierarchicalOneShotRBC:
         *,
         inner_n_reps: int | None = None,
         inner_s: int | None = None,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "HierarchicalOneShotRBC":
         """Build both levels (two brute-force calls, one per level).
@@ -74,7 +71,6 @@ class HierarchicalOneShotRBC:
         ``ctx`` rides through to both level builds; each inner index still
         applies its own configuration for whatever ``ctx`` leaves unset.
         """
-        ctx = resolve_ctx(ctx, recorder=recorder)
         n = self.metric.length(X)
         if n == 0:
             raise ValueError("database is empty")
@@ -82,9 +78,7 @@ class HierarchicalOneShotRBC:
         n_reps = n_reps if n_reps is not None else min(n, cube * cube)
         s = s if s is not None else 3 * cube
 
-        self.outer = OneShotRBC(
-            metric=self.metric, seed=self.seed, executor=self.executor
-        )
+        self.outer = OneShotRBC(metric=self.metric, seed=self.seed)
         self.outer.build(X, n_reps=n_reps, s=min(s, n), ctx=ctx)
 
         nr_actual = self.outer.n_reps
@@ -100,9 +94,7 @@ class HierarchicalOneShotRBC:
         )
         # the inner cover indexes the representative POINTS; its returned
         # indices are outer-representative indices
-        self.inner = OneShotRBC(
-            metric=self.metric, seed=self.seed, executor=self.executor
-        )
+        self.inner = OneShotRBC(metric=self.metric, seed=self.seed)
         self.inner.build(
             self.outer.rep_data,
             n_reps=inner_n_reps,
@@ -117,7 +109,6 @@ class HierarchicalOneShotRBC:
         k: int = 1,
         *,
         n_probes: int = 2,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Three brute-force hops: inner reps → outer reps → points.
@@ -130,8 +121,7 @@ class HierarchicalOneShotRBC:
             raise RuntimeError("call build(X) before querying")
         if k < 1 or n_probes < 1:
             raise ValueError("k and n_probes must be >= 1")
-        ctx = resolve_ctx(ctx, recorder=recorder)
-        recorder = ctx.recorder
+        recorder = NULL_RECORDER if ctx is None else ctx.recorder
         metric = self.metric
         stats = SearchStats()
         evals0 = metric.counter.n_evals

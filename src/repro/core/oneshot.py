@@ -29,7 +29,6 @@ from ..parallel.reduce import (
     topk_of_block,
 )
 from ..runtime.context import ExecContext
-from ..simulator.trace import NULL_RECORDER, TraceRecorder
 from .params import oneshot_params
 from .rbc import RBCBase, sample_representatives
 from .stats import SearchStats
@@ -61,7 +60,6 @@ class OneShotRBC(RBCBase):
         *,
         delta: float = 0.05,
         c: float = 1.0,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "OneShotRBC":
         """Build the cover: sample ``R``, then one ``BF(R, X)`` call.
@@ -73,7 +71,7 @@ class OneShotRBC(RBCBase):
         exact bounds), so only ``ctx``'s transport fields — executor,
         recorder, chunking — apply here.
         """
-        ctx = self._call_ctx(ctx, recorder=recorder).transport()
+        ctx = self._call_ctx(ctx).transport()
         n = self.metric.length(X)
         if n == 0:
             raise ValueError("database is empty")
@@ -133,8 +131,6 @@ class OneShotRBC(RBCBase):
         k: int = 1,
         *,
         n_probes: int = 1,
-        recorder: TraceRecorder = NULL_RECORDER,
-        executor=None,
         ctx: ExecContext | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """One-shot k-NN: ``BF(Q, R)`` then ``BF(q, X[L_r])`` per query.
@@ -144,9 +140,8 @@ class OneShotRBC(RBCBase):
         improving recall at proportional cost (the natural multi-probe
         analogue the paper's distributed future-work section suggests).
 
-        ``ctx`` (or the legacy ``recorder``/``executor`` kwargs it
-        subsumes) overrides the index configuration for this call; set
-        ``ctx`` fields win, then kwargs, then the index defaults.
+        ``ctx`` overrides the index configuration for this call: set
+        ``ctx`` fields win, then the index defaults.
 
         Returns ``(dist, idx)`` of shape ``(m, k)``; rows sorted ascending.
         Slots beyond the number of reachable candidates hold ``inf``/``-1``.
@@ -155,7 +150,7 @@ class OneShotRBC(RBCBase):
         if k < 1 or n_probes < 1:
             raise ValueError("k and n_probes must be >= 1")
         n_probes = min(n_probes, self.n_reps)
-        ctx = self._call_ctx(ctx, recorder=recorder, executor=executor)
+        ctx = self._call_ctx(ctx)
         recorder = ctx.recorder
         dtype = ctx.dtype_or_default
         stats = SearchStats()

@@ -29,9 +29,7 @@ from ..metrics import get_metric
 from ..metrics.base import Metric
 from ..metrics.engine import check_dtype, operand_cache
 from ..metrics.quantize import check_quantizer, supports_quantization
-from ..parallel.pool import Executor
-from ..runtime.context import ExecContext, resolve_ctx
-from ..simulator.trace import NULL_RECORDER, TraceRecorder
+from ..runtime.context import ExecContext
 from .packed import PackedLists
 from .stats import BuildStats, SearchStats
 
@@ -77,8 +75,6 @@ class RBCBase(Index):
     seed:
         seed (or Generator) for representative sampling; builds are
         deterministic given the seed.
-    executor:
-        executor spec forwarded to the brute-force calls.
     rep_scheme:
         ``"bernoulli"`` (paper) or ``"exact"`` representative sampling.
     dtype:
@@ -109,7 +105,6 @@ class RBCBase(Index):
         metric: str | Metric = "euclidean",
         *,
         seed: int | np.random.Generator | None = 0,
-        executor: str | Executor | None = None,
         rep_scheme: str = "bernoulli",
         dtype: str = "float64",
         engine: bool = True,
@@ -122,7 +117,6 @@ class RBCBase(Index):
             if isinstance(seed, np.random.Generator)
             else np.random.default_rng(seed)
         )
-        self.executor = executor
         self.rep_scheme = rep_scheme
         self.dtype = check_dtype(dtype)
         self.engine = bool(engine)
@@ -272,7 +266,7 @@ class RBCBase(Index):
         by the next build/insert/delete.  Subclasses extend this with
         their own derived structures."""
         self._require_built()
-        ctx = self._base_ctx() if ctx is None else ctx.overriding(self._base_ctx())
+        ctx = self._call_ctx(ctx)
         if self._engine_active(ctx):
             dtype = ctx.dtype_or_default
             self._prepared_reps(dtype)
@@ -290,7 +284,6 @@ class RBCBase(Index):
         """The index's own configuration as an execution context: the
         fallback every per-call context merges over."""
         return ExecContext(
-            executor=self.executor,
             dtype=self.dtype,
             engine=self.engine,
         )
@@ -298,19 +291,11 @@ class RBCBase(Index):
     def _call_ctx(
         self,
         ctx: ExecContext | None,
-        *,
-        recorder: TraceRecorder | None = None,
-        executor=None,
     ) -> ExecContext:
-        """Resolve one call's execution context.
-
-        Merge order (first set wins): explicit ``ctx`` fields, then the
-        legacy per-call kwargs, then the index configuration — so
-        ``query(..., recorder=r)`` and ``query(..., ctx=ExecContext(
-        recorder=r))`` are the same run.
-        """
-        call = resolve_ctx(ctx, recorder=recorder, executor=executor)
-        return call.overriding(self._base_ctx())
+        """One call's execution context: set ``ctx`` fields win, then the
+        index configuration."""
+        base = self._base_ctx()
+        return base if ctx is None else ctx.overriding(base)
 
     def _engine_active(self, ctx: ExecContext | None = None) -> bool:
         """Prepared-operand kernels apply to vector databases only, and the
@@ -516,7 +501,6 @@ class RBCBase(Index):
         X,
         n_reps: int | None = None,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "RBCBase":
         raise NotImplementedError
@@ -526,7 +510,6 @@ class RBCBase(Index):
         Q,
         k: int = 1,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         raise NotImplementedError

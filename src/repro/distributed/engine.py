@@ -36,7 +36,7 @@ from ..metrics import get_metric
 from ..obs.tracing import NULL_TRACER, SpanContext, Tracer
 from ..parallel.bruteforce import _record_dist_tile
 from ..parallel.reduce import EMPTY_IDX, merge_topk, topk_of_block
-from ..runtime.context import ExecContext, resolve_ctx
+from ..runtime.context import ExecContext
 from ..simulator.machine import simulate
 from ..simulator.trace import TraceRecorder
 from .cluster import ClusterSpec, CommStats
@@ -144,7 +144,7 @@ class DistributedRBC:
         into the central :class:`ExactRBC` build.
         """
         self.index = ExactRBC(metric=self.metric, seed=self.seed)
-        self.index.build(X, n_reps=n_reps, c=c, ctx=resolve_ctx(ctx).transport())
+        self.index.build(X, n_reps=n_reps, c=c, ctx=ctx)
         sizes = [lst.size for lst in self.index.lists]
         self.node_reps = partition_by_representatives(
             sizes, self.cluster.n_nodes
@@ -182,7 +182,7 @@ class DistributedRBC:
         """
         if self.index is None:
             raise RuntimeError("call build(X) first")
-        rctx = resolve_ctx(ctx)
+        rctx = ExecContext() if ctx is None else ctx
         run_rec = rctx.recorder
         tracer = rctx.tracer
         idx = self.index
@@ -313,7 +313,7 @@ class DistributedBruteForce:
     ) -> tuple[np.ndarray, np.ndarray]:
         if self.X is None:
             raise RuntimeError("call build(X) first")
-        rctx = resolve_ctx(ctx)
+        rctx = ExecContext() if ctx is None else ctx
         run_rec = rctx.recorder
         tracer = rctx.tracer
         metric = self.metric

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..runtime.context import ExecContext, TimingRecorder, resolve_ctx
+from ..runtime.context import ExecContext, TimingRecorder
 from ..runtime.report import RunReport, collect_report
 from ..simulator.machine import MachineSpec
 
@@ -38,6 +38,12 @@ __all__ = [
 #: backward-compatible name: harness runs have always returned "a QueryRun";
 #: they now return the runtime's RunReport, a strict superset of it
 QueryRun = RunReport
+
+
+def _with_timing(ctx: ExecContext | None, trace_ops: bool) -> ExecContext:
+    """``ctx`` with a fresh :class:`TimingRecorder` (parented to its tracer)."""
+    ctx = ExecContext() if ctx is None else ctx
+    return ctx.with_recorder(TimingRecorder(trace_ops=trace_ops, tracer=ctx.tracer))
 
 
 def traced_query(
@@ -64,15 +70,9 @@ def traced_query(
     A tracer on ``ctx`` threads through to the recorder, so recorded ops
     carry the live span's id (see :class:`~repro.simulator.trace.Op`).
     """
-    run_ctx = resolve_ctx(ctx)
-    recorder = TimingRecorder(trace_ops=trace_ops, tracer=run_ctx.tracer)
-    run_ctx = run_ctx.with_recorder(recorder)
+    run_ctx = _with_timing(ctx, trace_ops)
     with run_ctx.observe(index.metric) as obs:
-        if ctx is None:
-            # legacy protocol: any index with a recorder= kwarg works
-            dist, idx = index.query(Q, k, recorder=recorder, **query_kwargs)
-        else:
-            dist, idx = index.query(Q, k, ctx=run_ctx, **query_kwargs)
+        dist, idx = index.query(Q, k, ctx=run_ctx, **query_kwargs)
     return collect_report(
         name or type(index).__name__,
         run_ctx,
@@ -101,14 +101,9 @@ def traced_build(
     ``report[machine.name].time_s`` — exactly like the plain dict this
     function used to return.
     """
-    run_ctx = resolve_ctx(ctx)
-    recorder = TimingRecorder(trace_ops=trace_ops, tracer=run_ctx.tracer)
-    run_ctx = run_ctx.with_recorder(recorder)
+    run_ctx = _with_timing(ctx, trace_ops)
     with run_ctx.observe(index.metric) as obs:
-        if ctx is None:
-            index.build(X, recorder=recorder, **build_kwargs)
-        else:
-            index.build(X, ctx=run_ctx, **build_kwargs)
+        index.build(X, ctx=run_ctx, **build_kwargs)
     return collect_report(
         name or f"{type(index).__name__}:build",
         run_ctx,

@@ -32,7 +32,7 @@ from ..metrics.base import Metric
 from ..parallel.bruteforce import _record_dist_tile
 from ..parallel.reduce import EMPTY_IDX, merge_group_topk
 from ..runtime.context import ExecContext
-from ..simulator.trace import NULL_RECORDER, TraceRecorder
+from ..simulator.trace import NULL_RECORDER
 from .protocol import Capabilities, Index
 
 __all__ = ["BufferKDTree"]
@@ -88,10 +88,9 @@ class BufferKDTree(Index):
         self,
         X,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "BufferKDTree":
-        recorder = self._resolve(ctx, recorder).recorder
+        recorder = NULL_RECORDER if ctx is None else ctx.recorder
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValueError("X must be a non-empty (n, d) matrix")
@@ -153,13 +152,12 @@ class BufferKDTree(Index):
         Q,
         k: int = 1,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         self._require_built()
         if k < 1:
             raise ValueError("k must be >= 1")
-        recorder = self._resolve(ctx, recorder).recorder
+        recorder = NULL_RECORDER if ctx is None else ctx.recorder
         Qb = np.atleast_2d(np.asarray(Q, dtype=np.float64))
         m = Qb.shape[0]
         best_d = np.full((m, k), np.inf)
@@ -208,7 +206,6 @@ class BufferKDTree(Index):
         Q,
         eps: float,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Exact ε-range search: leaves whose box bound exceeds ``eps`` are
@@ -216,7 +213,7 @@ class BufferKDTree(Index):
         self._require_built()
         if eps < 0:
             raise ValueError("eps must be non-negative")
-        recorder = self._resolve(ctx, recorder).recorder
+        recorder = NULL_RECORDER if ctx is None else ctx.recorder
         Qb = np.atleast_2d(np.asarray(Q, dtype=np.float64))
         m = Qb.shape[0]
         hits_d: list[list[np.ndarray]] = [[] for _ in range(m)]

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..runtime.context import ExecContext, resolve_ctx
-from ..simulator.trace import NULL_RECORDER, TraceRecorder
+from ..runtime.context import ExecContext
 
 __all__ = [
     "Capabilities",
@@ -113,7 +112,6 @@ class Index:
         self,
         X,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "Index":
         """Preprocess the database ``X``; returns ``self``."""
@@ -124,7 +122,6 @@ class Index:
         Q,
         k: int = 1,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ):
         """Return ``(dist, idx)`` arrays of shape ``(len(Q), k)``.
@@ -139,7 +136,6 @@ class Index:
         Q,
         eps: float,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ):
         """Return, per query, a ``(dist, idx)`` pair of all points within
@@ -178,9 +174,6 @@ class Index:
     def supports(self, flag: str) -> bool:
         """``True`` iff :meth:`capabilities` declares ``flag``."""
         return bool(getattr(self.capabilities(), flag))
-
-    def _resolve(self, ctx, recorder):
-        return resolve_ctx(ctx, recorder=recorder)
 
 
 def capabilities_for(index) -> Capabilities:

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..metrics.base import VectorMetric
 from ..runtime.context import ExecContext
-from ..simulator.trace import NULL_RECORDER, TraceRecorder
+from ..simulator.trace import NULL_RECORDER
 from .protocol import Capabilities, Index, UnsupportedCapability, capabilities_for
 
 __all__ = ["RouteDecision", "Router"]
@@ -167,11 +167,9 @@ class Router(Index):
         n_reps: int | None = None,
         *,
         c: float = 1.0,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "Router":
-        ctx = self._resolve(ctx, recorder)
-        recorder = ctx.recorder
+        recorder = NULL_RECORDER if ctx is None else ctx.recorder
         if self._given_backends is not None:
             self._backends = dict(self._given_backends)
             self.ladder = self._given_ladder or tuple(self._backends)
@@ -396,7 +394,6 @@ class Router(Index):
         *,
         backend: str | None = None,
         latency_budget_s: float | None = None,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
         **query_kwargs,
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -425,7 +422,7 @@ class Router(Index):
             decision = self.plan(m, k, latency_budget_s=latency_budget_s)
         index = self._backends[decision.backend]
         t0 = time.perf_counter()
-        out = index.query(Q, k, recorder=recorder, ctx=ctx, **query_kwargs)
+        out = index.query(Q, k, ctx=ctx, **query_kwargs)
         wall = time.perf_counter() - t0
         if m:
             self._cost[decision.backend].update(k, wall / m)
@@ -442,7 +439,6 @@ class Router(Index):
         Q,
         eps: float,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ):
         """Route to the best-quality range-capable backend; refuse (with
@@ -461,7 +457,7 @@ class Router(Index):
                     reason="range query; first range-capable backend",
                     c_est=self.c_est,
                 )
-                return index.range_query(Q, eps, recorder=recorder, ctx=ctx)
+                return index.range_query(Q, eps, ctx=ctx)
         raise UnsupportedCapability(
             "no configured backend supports range queries; add rbc-exact, "
             "buffer-kd, or brute to the router's backends"

@@ -31,7 +31,7 @@ from ..metrics.engine import refine_topk
 from ..parallel.bruteforce import _record_dist_tile
 from ..parallel.reduce import EMPTY_IDX, dedupe_rows
 from ..runtime.context import ExecContext
-from ..simulator.trace import NULL_RECORDER, TraceRecorder
+from ..simulator.trace import NULL_RECORDER
 from .protocol import Capabilities, Index
 
 __all__ = ["RPForest"]
@@ -95,10 +95,9 @@ class RPForest(Index):
         self,
         X,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> "RPForest":
-        recorder = self._resolve(ctx, recorder).recorder
+        recorder = NULL_RECORDER if ctx is None else ctx.recorder
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] == 0:
             raise ValueError("X must be a non-empty (n, d) matrix")
@@ -166,13 +165,12 @@ class RPForest(Index):
         Q,
         k: int = 1,
         *,
-        recorder: TraceRecorder = NULL_RECORDER,
         ctx: ExecContext | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         self._require_built()
         if k < 1:
             raise ValueError("k must be >= 1")
-        recorder = self._resolve(ctx, recorder).recorder
+        recorder = NULL_RECORDER if ctx is None else ctx.recorder
         Qb = np.atleast_2d(np.asarray(Q, dtype=np.float64))
         m = Qb.shape[0]
         if m == 0:

@@ -3,7 +3,6 @@
 from .blocking import Tile, choose_tile_cols, grid_tiles, row_chunks
 from .bruteforce import (
     bf_knn,
-    bf_knn_processes,
     bf_nn,
     bf_range,
     register_resident_operands,
@@ -30,7 +29,6 @@ __all__ = [
     "grid_tiles",
     "row_chunks",
     "bf_knn",
-    "bf_knn_processes",
     "bf_nn",
     "bf_range",
     "register_resident_operands",

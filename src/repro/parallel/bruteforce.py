@@ -14,10 +14,9 @@ like dense linear algebra:
 Row chunks and tiles are mapped over an :class:`~repro.parallel.pool.Executor`,
 and every tile/merge is optionally recorded into a
 :class:`~repro.simulator.trace.TraceRecorder` so the machine models can
-replay the exact work performed.  Both are carried by an
-:class:`~repro.runtime.context.ExecContext` — the legacy ``executor=`` /
-``recorder=`` kwargs are thin adapters over it (explicit ``ctx`` fields
-win, kwargs fill the rest).
+replay the exact work performed.  Both, with the compute dtype and the
+chunking, are carried by one :class:`~repro.runtime.context.ExecContext`
+passed as ``ctx=``.
 """
 
 from __future__ import annotations
@@ -30,15 +29,12 @@ from ..metrics import get_metric
 from ..metrics.base import Metric, VectorMetric
 from ..metrics.engine import Prepared, check_dtype, prepare_operands, refine_topk
 from ..obs.tracing import NULL_TRACER, SpanContext, Tracer
-from ..runtime.context import ExecContext, resolve_ctx
+from ..runtime.context import ExecContext
 from ..simulator.trace import NULL_RECORDER, Op, TraceRecorder
 from .blocking import choose_tile_cols, row_chunks
 from .pool import (
-    Executor,
-    ProcessExecutor,
     SerialExecutor,
     SharedArray,
-    get_executor,
     operand_store,
 )
 from .reduce import EMPTY_IDX, merge_topk, topk_of_block, tree_reduce
@@ -48,7 +44,6 @@ __all__ = [
     "bf_knn",
     "bf_nn",
     "bf_range",
-    "bf_knn_processes",
     "register_resident_operands",
 ]
 
@@ -212,11 +207,6 @@ def bf_knn(
     k: int = 1,
     *,
     ids: np.ndarray | None = None,
-    executor: str | Executor | None = None,
-    tile_cols: int | None = None,
-    row_chunk: int | None = None,
-    recorder: TraceRecorder | None = None,
-    dtype: str | None = None,
     x_prepared=None,
     refine: bool = True,
     quantizer: str | None = None,
@@ -236,31 +226,11 @@ def bf_knn(
     ids:
         optional integer id list ``L``; restricts the search to ``X[L]``
         (the paper's ``BF(Q, X[L])``) and reports *global* indices into X.
-    executor:
-        ``None``/``"serial"``, ``"threads"``, ``"processes"`` or an
-        :class:`Executor`; row chunks are mapped over it.  The process
-        backend runs in worker processes (shared-memory operands for vector
-        metrics, pickled chunks otherwise), so it requires a metric the
-        workers can rebuild from the registry by name — a name string or a
-        default-constructed registry instance; customized instances raise
-        ``TypeError``.  Distance evaluations then happen in the workers and
-        are credited to the caller's counter as one bulk update
-        (``n_evals`` stays exact, ``n_calls`` becomes a single call), and
-        tracing is unsupported (``ValueError`` if ``recorder`` is enabled).
-    tile_cols:
-        database columns per tile (auto-sized to ~8 MB of operands if None).
-    recorder:
-        trace recorder for the machine models.
-    dtype:
-        compute dtype for vector metrics — ``"float64"`` (default, exact)
-        or ``"float32"`` (half the GEMM traffic; with ``refine=True`` the
-        float32-selected candidates are re-scored in float64, so only the
-        candidate *set* rides on low precision).
     x_prepared:
         optional :class:`~repro.metrics.engine.Prepared` form of ``X``
         (vector metrics only, incompatible with ``ids``).  Index structures
         pass their cached operands here so repeated calls against a fixed
-        database recompute nothing; its dtype overrides ``dtype``.
+        database recompute nothing; its dtype overrides ``ctx.dtype``.
     refine:
         float64-refine the result of a ``float32`` search (ignored for
         float64).
@@ -268,16 +238,31 @@ def bf_knn(
         run the scan on compressed codes — ``"int8"``, ``"float16"`` or
         ``"pq"`` — with a certified float64 re-rank, so the answer ids
         match the uncompressed search exactly (see
-        :mod:`repro.metrics.quantize`).  ``dtype="int8"`` / ``"float16"``
-        are accepted as sugar for the matching quantizer.  Vector metrics
-        with a ``gram``/``angular`` kernel only; in-process backends only
-        (``executor="processes"`` raises — workers own plain float
-        copies).
+        :mod:`repro.metrics.quantize`).  Vector metrics with a
+        ``gram``/``angular`` kernel only; in-process backends only (the
+        process executor raises — workers own plain float copies).
     ctx:
-        optional :class:`~repro.runtime.context.ExecContext` carrying the
-        same execution state as the kwargs above in one object.  Set
-        ``ctx`` fields win; the legacy kwargs fill whatever it leaves
-        unset, so both calling styles produce identical runs.
+        the run's :class:`~repro.runtime.context.ExecContext`:
+
+        * ``executor`` / ``n_workers`` — row chunks are mapped over it.
+          The process backend runs in worker processes (shared-memory
+          operands for vector metrics, pickled chunks otherwise), so it
+          requires a metric the workers can rebuild from the registry by
+          name — a name string or a default-constructed registry
+          instance; customized instances raise ``TypeError``.  Distance
+          evaluations then happen in the workers and are credited to the
+          caller's counter as one bulk update (``n_evals`` stays exact,
+          ``n_calls`` becomes a single call), and tracing is unsupported
+          (``ValueError`` if ``recorder`` is enabled).
+        * ``recorder`` / ``tracer`` — trace recorder for the machine
+          models and the span tracer.
+        * ``dtype`` — compute dtype for vector metrics: ``"float64"``
+          (default, exact) or ``"float32"`` (half the GEMM traffic; with
+          ``refine=True`` the float32-selected candidates are re-scored in
+          float64, so only the candidate *set* rides on low precision).
+        * ``row_chunk`` / ``tile_cols`` — queries per mapped chunk and
+          database columns per tile (auto-sized to the pool and to ~8 MB
+          of operands when unset).
 
     Returns
     -------
@@ -285,22 +270,9 @@ def bf_knn(
         ``(m, k)`` arrays, rows sorted ascending.  When fewer than ``k``
         points are available, trailing slots hold ``inf`` / ``-1``.
     """
-    if dtype in ("int8", "float16") and quantizer is None:
-        # dtype sugar: a code dtype means "scan quantized codes" (the
-        # compute dtype of the certified path is fixed: float32 scan,
-        # float64 re-rank)
-        quantizer, dtype = dtype, None
-    ctx = resolve_ctx(
-        ctx,
-        executor=executor,
-        recorder=recorder,
-        dtype=dtype,
-        row_chunk=row_chunk,
-        tile_cols=tile_cols,
-    )
+    ctx = ExecContext() if ctx is None else ctx
     recorder = ctx.recorder
     dtype = ctx.dtype_or_default
-    row_chunk = ctx.row_chunk if ctx.row_chunk is not None else _DEFAULT_ROW_CHUNK
     metric_spec = metric
     metric = get_metric(metric)
     if k < 1:
@@ -387,37 +359,12 @@ def bf_knn(
                 "prepared operands (workers own their copies); use "
                 "'threads' or 'serial'"
             )
-        pool = ctx.executor if isinstance(ctx.executor, ProcessExecutor) else None
         with ctx.span("bf:knn", backend="processes", m=m, n=n, k=k):
-            if isinstance(metric, VectorMetric):
-                # a gathered ids-subset is a fresh array per call:
-                # registering it would churn the resident store for zero
-                # reuse
-                dist, idx = bf_knn_processes(
-                    Qb, X, name, k=k, n_workers=ctx.n_workers,
-                    row_chunk=row_chunk, tile_cols=tile_cols, executor=pool,
-                    resident=ids is None, tracer=ctx.tracer,
-                )
-            else:
-                span_ctx = ctx.tracer.context()
-                tasks = [
-                    (
-                        lo,
-                        metric.take(Qb, np.arange(lo, hi)),
-                        X, name, k, tile_cols, span_ctx,
-                    )
-                    for lo, hi in row_chunks(m, row_chunk)
-                ]
-                if pool is not None:
-                    parts = pool.map(_proc_chunk_knn_pickled, tasks)
-                else:
-                    with get_executor("processes", ctx.n_workers) as ex:
-                        parts = ex.map(_proc_chunk_knn_pickled, tasks)
-                for p in parts:
-                    ctx.tracer.adopt(p[3])
-                parts.sort(key=lambda t: t[0])
-                dist = np.concatenate([p[1] for p in parts], axis=0)
-                idx = np.concatenate([p[2] for p in parts], axis=0)
+            # a gathered ids-subset is a fresh array per call: registering
+            # it would churn the resident store for zero reuse
+            dist, idx = _bf_knn_processes(
+                metric, name, Qb, X, k, ctx, resident=ids is None
+            )
         # workers evaluate every (q, x) pair; credit the caller's counter in
         # one bulk update so work accounting survives the process boundary
         metric.counter.add(m * n)
@@ -482,7 +429,7 @@ def bf_knn(
             # for large ones) instead of a fixed one-size row count
             chunks = plan_row_chunks(m, exec_.n_workers)
         else:
-            chunks = row_chunks(m, row_chunk)
+            chunks = row_chunks(m, ctx.row_chunk or _DEFAULT_ROW_CHUNK)
         bf_span.set(backend=type(exec_).__name__, chunks=len(chunks))
 
         def traced_task(chunk, _parent=tracer.context()):
@@ -528,10 +475,15 @@ def _is_batch(metric: Metric, Q) -> bool:
 
 
 def bf_nn(
-    Q, X, metric: str | Metric = "euclidean", **kwargs
+    Q,
+    X,
+    metric: str | Metric = "euclidean",
+    *,
+    ids: np.ndarray | None = None,
+    ctx: ExecContext | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """1-NN convenience wrapper: returns ``(m,)`` distance and index arrays."""
-    dist, idx = bf_knn(Q, X, metric, k=1, **kwargs)
+    dist, idx = bf_knn(Q, X, metric, k=1, ids=ids, ctx=ctx)
     return dist[:, 0], idx[:, 0]
 
 
@@ -542,29 +494,22 @@ def bf_range(
     metric: str | Metric = "euclidean",
     *,
     ids: np.ndarray | None = None,
-    tile_cols: int | None = None,
-    recorder: TraceRecorder | None = None,
-    dtype: str | None = None,
     ctx: ExecContext | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """ε-range search: all database points within distance ``eps`` of each
     query.  Returns, per query, ``(dist, idx)`` sorted by distance.
 
-    With ``dtype="float32"`` (vector metrics) the scan runs in float32 with
-    a slack-widened threshold and every candidate hit is verified with the
-    exact float64 distance, so the reported set and values match the
-    float64 search up to genuinely borderline points within float32 noise
-    of ``eps``.
-
-    An :class:`~repro.runtime.context.ExecContext` can carry the recorder,
-    dtype and tile sizing instead of the individual kwargs (set ``ctx``
-    fields win, kwargs fill the rest).  The scan itself is a single pass,
-    so the context's executor is not consulted here.
+    ``ctx`` carries the recorder, the compute dtype and the tile sizing;
+    the scan itself is a single pass, so its executor is not consulted.
+    With ``ctx.dtype="float32"`` (vector metrics) the scan runs in float32
+    with a slack-widened threshold and every candidate hit is verified
+    with the exact float64 distance, so the reported set and values match
+    the float64 search up to genuinely borderline points within float32
+    noise of ``eps``.
     """
-    ctx = resolve_ctx(ctx, recorder=recorder, dtype=dtype, tile_cols=tile_cols)
+    ctx = ExecContext() if ctx is None else ctx
     recorder = ctx.recorder
     dtype = ctx.dtype_or_default
-    tile_cols = ctx.tile_cols
     metric = get_metric(metric)
     if eps < 0:
         raise ValueError("eps must be non-negative")
@@ -574,7 +519,7 @@ def bf_range(
         X = metric.take(X, ids)
     n = metric.length(X)
     dim = metric.dim(X)
-    tile_cols = tile_cols or choose_tile_cols(n, dim)
+    tile_cols = ctx.tile_cols or choose_tile_cols(n, dim)
     Qb = Q if _is_batch(metric, Q) else metric._as_batch(Q)
     m = metric.length(Qb)
 
@@ -808,74 +753,68 @@ def _proc_chunk_knn_resident(args) -> tuple[int, np.ndarray, np.ndarray]:
     return lo, dist, idx, wtracer.export() if wtracer.enabled else []
 
 
-def bf_knn_processes(
-    Q: np.ndarray,
-    X: np.ndarray,
-    metric: str = "euclidean",
-    k: int = 1,
+def _bf_knn_processes(
+    metric: Metric,
+    name: str,
+    Qb,
+    X,
+    k: int,
+    ctx: ExecContext,
     *,
-    n_workers: int | None = None,
-    row_chunk: int = _DEFAULT_ROW_CHUNK,
-    tile_cols: int | None = None,
-    executor: Executor | None = None,
-    resident: bool = True,
-    tracer: Tracer = NULL_TRACER,
+    resident: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Process-parallel ``bf_knn`` for vector metrics.
+    """The process branch of :func:`bf_knn`: row chunks run in worker
+    processes that rebuild ``metric`` from the registry by ``name``.
 
-    With ``resident=True`` (default) the database's prepared operands live
-    in the :data:`~repro.parallel.pool.operand_store`: the shared-memory
-    copy and the norm hoist happen once per ``(metric, database)``, task
-    payloads carry only handles, and resident workers keep their
-    attachments across calls — so a query stream pays O(query) per call,
-    not O(database).  ``resident=False`` restores the transient per-call
-    segments (used for one-shot gathered subsets).  Only the query block
-    is ever copied per call.
+    Vector metrics travel through shared memory.  With ``resident=True``
+    the database's prepared operands live in the
+    :data:`~repro.parallel.pool.operand_store`: the shared-memory copy and
+    the norm hoist happen once per ``(metric, database)``, task payloads
+    carry only handles, and resident workers keep their attachments across
+    calls — so a query stream pays O(query) per call, not O(database).
+    ``resident=False`` uses transient per-call segments (one-shot gathered
+    subsets).  Other metrics ship pickled chunks.
 
-    Distance evaluations happen in worker processes and are *not*
-    reflected in the parent's metric counters
-    (``bf_knn(..., executor="processes")`` credits them in bulk).  An
-    already-running :class:`ProcessExecutor` can be passed as ``executor``
-    to reuse its pool; it is left open.  String-spec pools come from the
-    process-wide :class:`~repro.parallel.pool.ExecutorPool` registry and
-    stay warm between calls.
+    The pool is ``ctx.executor`` (an open ``ProcessExecutor`` stays open)
+    or the warm registry pool for ``ctx.n_workers``; worker spans are
+    adopted into ``ctx.tracer``.
     """
-    if not isinstance(metric, str):
-        raise TypeError("process backend needs a registry metric name")
-    Q = _as_shared_f64(Q)
-    X = _as_shared_f64(X)
-    tile_cols = tile_cols or choose_tile_cols(X.shape[0], X.shape[1])
     # the submitting span's ids ride the pickled payloads; worker spans
     # come back in the results and are adopted into the caller's timeline
-    span_ctx = tracer.context() if tracer.enabled else None
-    qh = SharedArray.from_array(Q)
-    xh = None
+    span_ctx = ctx.tracer.context()
+    chunks = row_chunks(metric.length(Qb), ctx.row_chunk or _DEFAULT_ROW_CHUNK)
+    tile_cols = ctx.tile_cols or choose_tile_cols(metric.length(X), metric.dim(X))
+    segments = []
     try:
-        if resident:
-            handles = register_resident_operands(get_metric(metric), X)
-            worker = _proc_chunk_knn_resident
+        if isinstance(metric, VectorMetric):
+            X = _as_shared_f64(X)
+            qh = SharedArray.from_array(_as_shared_f64(Qb))
+            segments.append(qh)
+            if resident:
+                xs = register_resident_operands(metric, X)
+                worker = _proc_chunk_knn_resident
+            else:
+                xs = SharedArray.from_array(X)
+                segments.append(xs)
+                worker = _proc_chunk_knn
             tasks = [
-                (qh, handles, lo, hi, metric, k, tile_cols, span_ctx)
-                for lo, hi in row_chunks(Q.shape[0], row_chunk)
+                (qh, xs, lo, hi, name, k, tile_cols, span_ctx)
+                for lo, hi in chunks
             ]
         else:
-            xh = SharedArray.from_array(X)
-            worker = _proc_chunk_knn
+            worker = _proc_chunk_knn_pickled
             tasks = [
-                (qh, xh, lo, hi, metric, k, tile_cols, span_ctx)
-                for lo, hi in row_chunks(Q.shape[0], row_chunk)
+                (lo, metric.take(Qb, np.arange(lo, hi)), X, name, k,
+                 tile_cols, span_ctx)
+                for lo, hi in chunks
             ]
-        if executor is not None:
-            parts = executor.map(worker, tasks)
-        else:
-            with get_executor("processes", n_workers) as ex:
-                parts = ex.map(worker, tasks)
+        with ctx.executor_scope() as exec_:
+            parts = exec_.map(worker, tasks)
     finally:
-        qh.unlink()
-        if xh is not None:
-            xh.unlink()
+        for seg in segments:
+            seg.unlink()
     for p in parts:
-        tracer.adopt(p[3])
+        ctx.tracer.adopt(p[3])
     parts.sort(key=lambda t: t[0])
     dist = np.concatenate([p[1] for p in parts], axis=0)
     idx = np.concatenate([p[2] for p in parts], axis=0)

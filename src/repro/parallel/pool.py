@@ -151,7 +151,7 @@ class ExecutorPool:
     """Process-wide registry of live executors keyed by ``(backend, n_workers)``.
 
     ``get_executor`` used to build a fresh pool on every string spec — a
-    full ``ProcessPoolExecutor`` spawn per ``bf_knn(executor="processes")``
+    full ``ProcessPoolExecutor`` spawn per process-backend ``bf_knn``
     call.  The registry keeps one warm pool per key and hands it out
     repeatedly; returned pools ignore ``close()`` (so the existing
     ``with``-scoped call sites need no changes) and are really terminated
@@ -334,7 +334,7 @@ class OperandStore:
     """Process-wide registry of shared-memory operands for fixed datasets.
 
     The process backend used to ship its operands per *call*: every
-    ``bf_knn_processes`` placed the whole database in fresh shared memory,
+    process-backend ``bf_knn`` placed the whole database in fresh shared memory,
     let the workers attach, and unlinked it on the way out — an O(n d)
     copy plus worker re-attachment per query batch, and the hoisted norms
     were recomputed from scratch in every worker.  The store registers a

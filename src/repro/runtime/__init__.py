@@ -4,13 +4,13 @@
 executor, trace recorder, engine/dtype policy, chunking policy — that the
 brute-force primitive, both RBC searches, every baseline, and the eval
 harness all share; :class:`RunReport` is the per-run observability record
-a context-driven run emits.  See :mod:`repro.runtime.context` for the
-merge semantics that keep the legacy ``recorder=``/``executor=`` kwargs
-working unchanged.
+a context-driven run emits.  Every entry point takes it as ``ctx=``; see
+:mod:`repro.runtime.context` for how a call's context merges over an
+index's configuration.
 """
 
 from .autotune import Autotuner, KernelPlan, autotune_cache_path, default_autotuner
-from .context import ExecContext, Observation, TimingRecorder, resolve_ctx
+from .context import ExecContext, Observation, TimingRecorder
 from .report import (
     LatencyStats,
     PhaseReport,
@@ -27,7 +27,6 @@ __all__ = [
     "ExecContext",
     "Observation",
     "TimingRecorder",
-    "resolve_ctx",
     "LatencyStats",
     "PhaseReport",
     "RunReport",

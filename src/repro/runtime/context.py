@@ -26,9 +26,10 @@ between modules.  :class:`ExecContext` bundles all of it in one object:
 
 Every field defaults to "unset" (``None`` / :data:`NULL_RECORDER`), so a
 context can be *merged*: explicitly-set fields win, unset fields fall back
-to another context's (or an index's) defaults.  The legacy ``recorder=`` /
-``executor=`` kwargs across the package are thin adapters over exactly
-this merge, so both calling styles produce bit-identical runs.
+to another context's (or an index's) defaults.  ``ctx=`` is the one way
+every ``build``/``query``/``range_query`` and every brute-force entry
+point takes per-call execution state; an index merges the call's context
+over its own configuration (:meth:`ExecContext.overriding`).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # imports this module), so the pool helpers are imported lazily inside the
 # methods that need them rather than at module import time.
 
-__all__ = ["ExecContext", "Observation", "TimingRecorder", "resolve_ctx"]
+__all__ = ["ExecContext", "Observation", "TimingRecorder"]
 
 
 class TimingRecorder(TraceRecorder):
@@ -121,10 +122,9 @@ class Observation:
 class ExecContext:
     """Everything a search run needs to execute and be observed.
 
-    Fields left at their defaults mean "unset — inherit": :func:`resolve_ctx`
-    and the index classes fill them from legacy kwargs and per-index
-    configuration, so ``query(..., ctx=ExecContext(recorder=r))`` and
-    ``query(..., recorder=r)`` are the same run.
+    Fields left at their defaults mean "unset — inherit": the index
+    classes fill them from their own configuration (``dtype``/``engine``),
+    and the brute-force kernels from their defaults.
 
     Parameters
     ----------
@@ -297,36 +297,3 @@ class ExecContext:
                 k1.n_invalidated - k0.n_invalidated,
             )
 
-
-def resolve_ctx(
-    ctx: ExecContext | None = None,
-    *,
-    executor: str | Executor | None = None,
-    n_workers: int | None = None,
-    recorder: TraceRecorder | None = None,
-    dtype: str | None = None,
-    engine: bool | None = None,
-    row_chunk: int | None = None,
-    tile_cols: int | None = None,
-    tracer: Tracer | None = None,
-) -> ExecContext:
-    """Merge an optional context with legacy keyword arguments.
-
-    The adapter behind every ``recorder=`` / ``executor=`` kwarg in the
-    package: explicitly-set ``ctx`` fields win, the legacy kwargs fill
-    whatever the context leaves unset.  With ``ctx=None`` this simply
-    packages the kwargs into a context.
-    """
-    base = ExecContext(
-        executor=executor,
-        n_workers=n_workers,
-        recorder=recorder if recorder is not None else NULL_RECORDER,
-        dtype=dtype,
-        engine=engine,
-        row_chunk=row_chunk,
-        tile_cols=tile_cols,
-        tracer=tracer if tracer is not None else NULL_TRACER,
-    )
-    if ctx is None:
-        return base
-    return ctx.overriding(base)

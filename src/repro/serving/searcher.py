@@ -50,7 +50,7 @@ from ..obs.flight import FlightRecorder
 from ..obs.metrics import MetricsRegistry
 from ..obs.quality import DriftMonitor, QualitySampler
 from ..obs.slo import SLOMonitor
-from ..runtime.context import ExecContext, TimingRecorder, resolve_ctx
+from ..runtime.context import ExecContext, TimingRecorder
 from ..runtime.report import LatencyStats, StreamReport, collect_report
 from .batcher import BatchPolicy, QueryBatcher
 from .cache import CachePolicy, ProximityCache
@@ -158,7 +158,7 @@ class StreamingSearcher:
         self.k = self.k_serve
         self.policy = policy or BatchPolicy()
         base = getattr(index, "_base_ctx", ExecContext)()
-        self.ctx = resolve_ctx(ctx).overriding(base)
+        self.ctx = base if ctx is None else ctx.overriding(base)
         self.query_kwargs = dict(query_kwargs)
         self.batcher = QueryBatcher(self.policy)
         self.rescore = bool(rescore) and self._can_rescore(index)

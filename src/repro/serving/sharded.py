@@ -203,9 +203,6 @@ class ShardedStreamingSearcher(StreamingSearcher):
             )
         if not callable(getattr(index, "scan", None)):
             raise ValueError("sharded serving requires the exact RBC search")
-        legacy = sorted({"recorder", "executor"} & kwargs.keys())
-        if legacy:
-            raise ValueError(f"pass ctx=ExecContext(...) instead of {legacy}")
         super().__init__(index, **kwargs)
         self.n_shards = int(n_shards)
         self.replicas = int(replicas)

@@ -7,6 +7,7 @@ from repro.baselines import AESA
 from repro.eval import results_match_exactly
 from repro.metrics import EditDistance
 from repro.parallel import bf_knn
+from repro.runtime import ExecContext
 from repro.simulator import TraceRecorder
 
 
@@ -76,7 +77,7 @@ def test_trace_is_branchy(small_vectors):
     X, Q = small_vectors
     a = AESA().build(X)
     rec = TraceRecorder()
-    a.query(Q[:3], k=1, recorder=rec)
+    a.query(Q[:3], k=1, ctx=ExecContext(recorder=rec))
     query_ops = [
         op
         for p in rec.trace.phases

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.metrics import EditDistance, Euclidean, get_metric
-from repro.parallel import bf_knn, bf_knn_processes, bf_nn, bf_range
+from repro.parallel import bf_knn, bf_nn, bf_range
+from repro.runtime import ExecContext
 from repro.simulator import TraceRecorder
 
 
@@ -30,35 +31,43 @@ def test_matches_reference(metric, k, small_vectors):
 def test_tiny_tiles_match_single_tile(small_vectors):
     X, Q = small_vectors
     d1, i1 = bf_knn(Q, X, k=5)
-    d2, i2 = bf_knn(Q, X, k=5, tile_cols=7)
+    d2, i2 = bf_knn(Q, X, k=5, ctx=ExecContext(tile_cols=7))
     np.testing.assert_allclose(d1, d2)
 
 
 def test_tiny_row_chunks_match(small_vectors):
     X, Q = small_vectors
     d1, _ = bf_knn(Q, X, k=5)
-    d2, _ = bf_knn(Q, X, k=5, row_chunk=3)
+    d2, _ = bf_knn(Q, X, k=5, ctx=ExecContext(row_chunk=3))
     np.testing.assert_allclose(d1, d2)
 
 
 def test_thread_executor_matches_serial(small_vectors):
     X, Q = small_vectors
     d1, _ = bf_knn(Q, X, k=4)
-    d2, _ = bf_knn(Q, X, k=4, executor="threads", row_chunk=4)
+    d2, _ = bf_knn(Q, X, k=4, ctx=ExecContext(executor="threads", row_chunk=4))
     np.testing.assert_allclose(d1, d2)
 
 
 def test_process_backend_matches_serial(small_vectors):
     X, Q = small_vectors
     d1, _ = bf_knn(Q, X, k=4)
-    d2, _ = bf_knn_processes(Q, X, "euclidean", k=4, n_workers=2, row_chunk=8)
+    d2, _ = bf_knn(
+        Q, X, "euclidean", k=4,
+        ctx=ExecContext(executor="processes", n_workers=2, row_chunk=8),
+    )
     np.testing.assert_allclose(d1, d2)
 
 
 def test_process_backend_rejects_metric_instance(small_vectors):
+    # a metric instance the workers cannot rebuild from the registry by
+    # name (here an unregistered subclass) is refused, not approximated
+    class Unregistered(Euclidean):
+        pass
+
     X, Q = small_vectors
     with pytest.raises(TypeError):
-        bf_knn_processes(Q, X, Euclidean(), k=1)
+        bf_knn(Q, X, Unregistered(), k=1, ctx=ExecContext(executor="processes"))
 
 
 def test_bf_knn_processes_executor_matches_serial(small_vectors):
@@ -66,7 +75,9 @@ def test_bf_knn_processes_executor_matches_serial(small_vectors):
     # pickle error on the chunk closure
     X, Q = small_vectors
     d1, i1 = bf_knn(Q, X, k=4)
-    d2, i2 = bf_knn(Q, X, k=4, executor="processes", row_chunk=64)
+    d2, i2 = bf_knn(
+        Q, X, k=4, ctx=ExecContext(executor="processes", row_chunk=64)
+    )
     np.testing.assert_allclose(d1, d2)
     np.testing.assert_array_equal(i1, i2)
 
@@ -75,7 +86,7 @@ def test_bf_knn_processes_counter_credit(small_vectors):
     X, Q = small_vectors
     m = get_metric("euclidean")
     before = m.counter.n_evals
-    bf_knn(Q, X, m, k=2, executor="processes")
+    bf_knn(Q, X, m, k=2, ctx=ExecContext(executor="processes"))
     assert m.counter.n_evals - before == Q.shape[0] * X.shape[0]
 
 
@@ -85,7 +96,9 @@ def test_bf_knn_processes_string_metric():
     S = ["cat", "cart", "dog", "dig", "cot", "cut", "coat", "dart"]
     Q = ["cut", "dug"]
     d1, i1 = bf_knn(Q, S, "edit", k=3)
-    d2, i2 = bf_knn(Q, S, "edit", k=3, executor="processes", row_chunk=1)
+    d2, i2 = bf_knn(
+        Q, S, "edit", k=3, ctx=ExecContext(executor="processes", row_chunk=1)
+    )
     np.testing.assert_array_equal(d1, d2)
 
 
@@ -94,7 +107,9 @@ def test_bf_knn_processes_default_instance_routed(small_vectors):
     # accepted; only customized instances are rejected
     X, Q = small_vectors
     d1, _ = bf_knn(Q, X, k=2)
-    d2, _ = bf_knn(Q, X, Euclidean(), k=2, executor="processes")
+    d2, _ = bf_knn(
+        Q, X, Euclidean(), k=2, ctx=ExecContext(executor="processes")
+    )
     np.testing.assert_allclose(d1, d2)
 
 
@@ -103,20 +118,25 @@ def test_bf_knn_processes_custom_instance_raises(small_vectors):
 
     X, Q = small_vectors
     with pytest.raises(TypeError, match="registry"):
-        bf_knn(Q, X, Minkowski(p=4.0), k=2, executor="processes")
+        bf_knn(
+            Q, X, Minkowski(p=4.0), k=2, ctx=ExecContext(executor="processes")
+        )
 
 
 def test_bf_knn_processes_tracing_raises(small_vectors):
     X, Q = small_vectors
     with pytest.raises(ValueError, match="trace"):
-        bf_knn(Q, X, k=2, executor="processes", recorder=TraceRecorder())
+        bf_knn(
+            Q, X, k=2,
+            ctx=ExecContext(executor="processes", recorder=TraceRecorder()),
+        )
 
 
 def test_bf_knn_processes_ids_restriction(small_vectors, rng):
     X, Q = small_vectors
     L = rng.choice(X.shape[0], size=31, replace=False)
     d1, i1 = bf_knn(Q, X, k=3, ids=L)
-    d2, i2 = bf_knn(Q, X, k=3, ids=L, executor="processes")
+    d2, i2 = bf_knn(Q, X, k=3, ids=L, ctx=ExecContext(executor="processes"))
     np.testing.assert_allclose(d1, d2)
     assert set(i2.ravel()) <= set(L.tolist())
 
@@ -230,7 +250,7 @@ def test_trace_records_gemm_work(small_vectors):
     X, Q = small_vectors
     rec = TraceRecorder()
     m = get_metric("euclidean")
-    bf_knn(Q, X, m, k=2, recorder=rec, tile_cols=100)
+    bf_knn(Q, X, m, k=2, ctx=ExecContext(recorder=rec, tile_cols=100))
     trace = rec.trace
     assert trace.n_ops > 0
     gemm_flops = sum(
@@ -252,7 +272,6 @@ def test_exhaustive_small_case():
 
 def test_thread_backend_scheduler_chunks_match_serial(rng):
     """The scheduler-planned thread chunking is invisible in the results."""
-    from repro.runtime import ExecContext
 
     X = rng.normal(size=(700, 9))
     Q = rng.normal(size=(150, 9))

@@ -7,6 +7,7 @@ from repro.baselines import CoverTree
 from repro.eval import results_match_exactly
 from repro.metrics import EditDistance
 from repro.parallel import bf_knn
+from repro.runtime import ExecContext
 from repro.simulator import TraceRecorder
 
 
@@ -105,7 +106,7 @@ def test_query_trace_is_branchy(small_vectors):
     X, Q = small_vectors
     ct = CoverTree().build(X)
     rec = TraceRecorder()
-    ct.query(Q[:5], k=1, recorder=rec)
+    ct.query(Q[:5], k=1, ctx=ExecContext(recorder=rec))
     ops = [op for p in rec.trace.phases for op in p.ops]
     assert ops
     assert all(op.kind == "branchy" and not op.vectorizable for op in ops)

@@ -20,6 +20,7 @@ from repro.metrics import (
 )
 from repro.metrics.engine import check_dtype
 from repro.parallel import bf_knn, bf_range
+from repro.runtime import ExecContext
 
 VECTOR_METRICS = [
     Euclidean,
@@ -265,7 +266,7 @@ def test_float32_refined_matches_float64(seed, n, d):
     Q = rng.normal(size=(10, d))
     k = min(4, n)
     d64, i64 = bf_knn(Q, X, k=k)
-    d32, i32 = bf_knn(Q, X, k=k, dtype="float32")
+    d32, i32 = bf_knn(Q, X, k=k, ctx=ExecContext(dtype="float32"))
     # Gaussian data: ties have measure zero, ids must agree exactly
     np.testing.assert_array_equal(i32, i64)
     np.testing.assert_allclose(d32, d64, rtol=1e-9, atol=1e-12)
@@ -287,7 +288,7 @@ def test_float32_unrefined_is_low_precision(rng):
     X = rng.normal(size=(300, 6))
     Q = rng.normal(size=(10, 6))
     d64, _ = bf_knn(Q, X, k=3)
-    d32, _ = bf_knn(Q, X, k=3, dtype="float32", refine=False)
+    d32, _ = bf_knn(Q, X, k=3, refine=False, ctx=ExecContext(dtype="float32"))
     assert d32.dtype == np.float32  # no refinement: raw compute dtype
     assert not np.array_equal(d32.astype(np.float64), d64)  # f32 rounding
     np.testing.assert_allclose(d32, d64, rtol=1e-4)
@@ -298,7 +299,7 @@ def test_bf_range_float32_matches(rng):
     Q = rng.normal(size=(12, 5))
     eps = 2.0
     out64 = bf_range(Q, X, eps=eps)
-    out32 = bf_range(Q, X, eps=eps, dtype="float32")
+    out32 = bf_range(Q, X, eps=eps, ctx=ExecContext(dtype="float32"))
     for (d64, i64), (d32, i32) in zip(out64, out32):
         np.testing.assert_array_equal(np.sort(i64), np.sort(i32))
         np.testing.assert_allclose(np.sort(d64), np.sort(d32), rtol=1e-9)
@@ -316,9 +317,8 @@ def test_exact_range_query_float32_matches(rng):
 def test_bf_knn_rejects_bad_dtype_and_prepared_with_ids(rng):
     X = rng.normal(size=(50, 3))
     Q = rng.normal(size=(4, 3))
-    # ("int8"/"float16" are now quantizer sugar, so they no longer reject)
     with pytest.raises(ValueError, match="compute dtype"):
-        bf_knn(Q, X, k=2, dtype="int16")
+        bf_knn(Q, X, k=2, ctx=ExecContext(dtype="int16"))
     metric = Euclidean()
     with pytest.raises(ValueError, match="x_prepared"):
         bf_knn(

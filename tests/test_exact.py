@@ -10,6 +10,7 @@ from repro.core import ExactRBC
 from repro.eval import distance_ratio, results_match_exactly
 from repro.metrics import EditDistance, GraphMetric
 from repro.parallel import bf_knn, bf_range
+from repro.runtime import ExecContext
 
 
 @pytest.mark.parametrize("k", [1, 2, 7])
@@ -223,8 +224,8 @@ def test_thread_executor_equivalent(small_vectors):
     X, Q = small_vectors
     serial = ExactRBC(seed=0).build(X)
     d1, _ = serial.query(Q, k=3)
-    threaded = ExactRBC(seed=0, executor="threads").build(X)
-    d2, _ = threaded.query(Q, k=3)
+    threaded = ExactRBC(seed=0).build(X)
+    d2, _ = threaded.query(Q, k=3, ctx=ExecContext(executor="threads"))
     np.testing.assert_allclose(d1, d2)
 
 

@@ -192,9 +192,3 @@ def test_sharded_rule_counts_equal_single_node(served, n_shards):
     assert got.rule_counts == want.rule_counts
     assert got.rule_counts["n_queries"] == len(Q)
     np.testing.assert_array_equal(got.idx, want.idx)
-
-
-@pytest.mark.parametrize("legacy", ["recorder", "executor"])
-def test_sharded_rejects_legacy_query_kwargs(served, legacy):
-    with pytest.raises(ValueError, match="ctx=ExecContext"):
-        ShardedStreamingSearcher(served[0], n_shards=2, **{legacy: None})

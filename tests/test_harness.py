@@ -51,7 +51,7 @@ def test_traced_query_agrees_with_manual_recorder_run(small_vectors):
 
     manual = TraceRecorder()
     index = ExactRBC(seed=0).build(X)
-    dist_m, idx_m = index.query(Q, k=k, recorder=manual)
+    dist_m, idx_m = index.query(Q, k=k, ctx=ExecContext(recorder=manual))
     manual_stats = index.last_stats
 
     index2 = ExactRBC(seed=0).build(X)

@@ -105,13 +105,14 @@ def test_dataset_scale_flag_changes_n():
 def test_trace_work_matches_counter(workload):
     """The recorded gemm FLOPs must equal counted evals x model cost —
     the bridge between the counter and the machine models."""
+    from repro.runtime import ExecContext
     from repro.simulator import TraceRecorder
 
     X, Q = workload
     rbc = ExactRBC(seed=0).build(X)
     rec = TraceRecorder()
     before = rbc.metric.counter.n_evals
-    rbc.query(Q, k=1, recorder=rec)
+    rbc.query(Q, k=1, ctx=ExecContext(recorder=rec))
     evals = rbc.metric.counter.n_evals - before
     gemm_flops = sum(
         op.flops

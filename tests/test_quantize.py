@@ -27,7 +27,7 @@ from repro.metrics import (
 )
 from repro.metrics.quantize import bound_filter, check_quantizer, quant_topk
 from repro.parallel import bf_knn
-from repro.runtime import Autotuner, RunReport
+from repro.runtime import Autotuner, ExecContext, RunReport
 
 
 @pytest.fixture(autouse=True)
@@ -276,10 +276,6 @@ def test_bf_knn_quantizer_parity(small_vectors):
     ed, ei = bf_knn(Q, X, k=5)
     d, i = bf_knn(Q, X, k=5, quantizer="int8")
     assert_same_answers(ed, ei, d, i)
-    # dtype sugar routes through the same path
-    d2, i2 = bf_knn(Q, X, k=5, dtype="int8")
-    np.testing.assert_array_equal(i, i2)
-    np.testing.assert_allclose(d, d2)
 
 
 def test_bf_knn_quantizer_with_ids(small_vectors, rng):
@@ -308,7 +304,9 @@ def test_bf_knn_quantizer_operand_cache_is_stable(rng):
 def test_bf_knn_quantizer_rejects_processes(small_vectors):
     X, Q = small_vectors
     with pytest.raises(ValueError, match="in-process"):
-        bf_knn(Q, X, k=3, quantizer="int8", executor="processes")
+        bf_knn(
+            Q, X, k=3, quantizer="int8", ctx=ExecContext(executor="processes")
+        )
 
 
 def test_bf_knn_quantizer_rejects_unquantizable(small_vectors):
@@ -320,7 +318,7 @@ def test_bf_knn_quantizer_rejects_unquantizable(small_vectors):
 def test_bf_knn_thread_prealloc_matches_serial(small_vectors):
     X, Q = small_vectors
     d1, i1 = bf_knn(Q, X, k=5)
-    d2, i2 = bf_knn(Q, X, k=5, executor="threads", row_chunk=4)
+    d2, i2 = bf_knn(Q, X, k=5, ctx=ExecContext(executor="threads", row_chunk=4))
     np.testing.assert_allclose(d1, d2)
     np.testing.assert_array_equal(i1, i2)
 
@@ -328,7 +326,7 @@ def test_bf_knn_thread_prealloc_matches_serial(small_vectors):
 def test_bf_knn_thread_prealloc_k_exceeds_n(rng):
     X = rng.normal(size=(3, 4))
     Q = rng.normal(size=(9, 4))
-    d, i = bf_knn(Q, X, k=5, executor="threads", row_chunk=2)
+    d, i = bf_knn(Q, X, k=5, ctx=ExecContext(executor="threads", row_chunk=2))
     assert d.shape == (9, 5)
     assert np.isinf(d[:, 3:]).all() and (i[:, 3:] == -1).all()
 

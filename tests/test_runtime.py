@@ -1,39 +1,29 @@
 """The unified execution runtime: ExecContext, executor_scope, merging.
 
-The contract under test is the PR's core promise: ``ctx=ExecContext(...)``
-and the legacy ``recorder=``/``executor=`` kwargs are the *same run* —
-identical answers, identical recorded traces — and executor ownership is
-handled exactly once, by ``executor_scope``.
+The contract under test: ``ctx=ExecContext(...)`` carries a run's
+execution state, set fields win over an index's configuration, and
+executor ownership is handled exactly once, by ``executor_scope``.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import inspect
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.baselines import BruteForceIndex, KDTree
-from repro.core import ExactRBC, OneShotRBC
-from repro.parallel import bf_knn
+from repro.core import ExactRBC
+from repro.core.knngraph import knn_graph
+from repro.index import available_indexes, index_class
+from repro.parallel import bf_knn, bf_nn, bf_range
 from repro.parallel.pool import (
     Executor,
     SerialExecutor,
     ThreadExecutor,
     executor_scope,
 )
-from repro.runtime import ExecContext, TimingRecorder, resolve_ctx
+from repro.runtime import ExecContext, TimingRecorder
 from repro.simulator.trace import NULL_RECORDER, TraceRecorder
-
-
-def _trace_key(recorder: TraceRecorder) -> Counter:
-    """Order-insensitive fingerprint of a recorded trace."""
-    return Counter(
-        (p.name, len(p.ops), round(p.flops, 6), round(p.bytes, 6))
-        for p in recorder.trace.phases
-    )
 
 
 # ---------------------------------------------------------------- executor scope
@@ -84,27 +74,6 @@ def test_ctx_executor_scope_serial_default():
 
 
 # -------------------------------------------------------------------- merging
-
-
-def test_resolve_ctx_packages_kwargs():
-    r = TraceRecorder()
-    ctx = resolve_ctx(None, recorder=r, executor="threads", dtype="float32")
-    assert ctx.recorder is r
-    assert ctx.executor == "threads"
-    assert ctx.dtype == "float32"
-
-
-def test_resolve_ctx_ctx_fields_win():
-    r1, r2 = TraceRecorder(), TraceRecorder()
-    ctx = resolve_ctx(
-        ExecContext(recorder=r1, dtype="float32"),
-        recorder=r2,
-        executor="threads",
-        dtype="float64",
-    )
-    assert ctx.recorder is r1  # ctx wins
-    assert ctx.dtype == "float32"  # ctx wins
-    assert ctx.executor == "threads"  # kwargs fill the gap
 
 
 def test_overriding_unset_fields_inherit():
@@ -174,84 +143,8 @@ def test_timing_recorder_trace_ops_false_keeps_wall_drops_ops():
     assert "work" in rec.phase_wall  # but wall time is
 
 
-# ------------------------------------------------- ctx == legacy kwargs, exactly
-
-
-def _run_legacy(index, Q, k, recorder):
-    return index.query(Q, k=k, recorder=recorder)
-
-
-def _run_ctx(index, Q, k, recorder):
-    return index.query(Q, k=k, ctx=ExecContext(recorder=recorder))
-
-
-@pytest.mark.parametrize(
-    "make_index",
-    [
-        lambda: ExactRBC(seed=0),
-        lambda: OneShotRBC(seed=0),
-        lambda: BruteForceIndex(),
-        lambda: KDTree(),
-    ],
-    ids=["exact", "oneshot", "brute", "kdtree"],
-)
-def test_ctx_equals_legacy_kwargs(make_index, small_vectors):
-    X, Q = small_vectors
-    k = 3
-
-    a = make_index().build(X)
-    ra = TraceRecorder()
-    da, ia = _run_legacy(a, Q, k, ra)
-
-    b = make_index().build(X)
-    rb = TraceRecorder()
-    db, ib = _run_ctx(b, Q, k, rb)
-
-    np.testing.assert_array_equal(da, db)
-    np.testing.assert_array_equal(ia, ib)
-    assert _trace_key(ra) == _trace_key(rb)
-
-
-@settings(max_examples=15, deadline=None)
-@given(
-    n=st.integers(min_value=30, max_value=120),
-    m=st.integers(min_value=1, max_value=10),
-    dim=st.integers(min_value=2, max_value=6),
-    k=st.integers(min_value=1, max_value=4),
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    cls=st.sampled_from([ExactRBC, OneShotRBC]),
-)
-def test_ctx_equals_legacy_kwargs_property(n, m, dim, k, seed, cls):
-    rng = np.random.default_rng(seed)
-    X = rng.normal(size=(n, dim))
-    Q = rng.normal(size=(m, dim))
-
-    a = cls(seed=0).build(X)
-    ra = TraceRecorder()
-    da, ia = a.query(Q, k=k, recorder=ra, executor=None)
-
-    b = cls(seed=0).build(X)
-    rb = TraceRecorder()
-    db, ib = b.query(Q, k=k, ctx=ExecContext(recorder=rb))
-
-    np.testing.assert_array_equal(da, db)
-    np.testing.assert_array_equal(ia, ib)
-    assert _trace_key(ra) == _trace_key(rb)
-    assert a.last_stats.rule_counts() == b.last_stats.rule_counts()
-
-
-def test_bf_knn_ctx_equals_kwargs(small_vectors):
-    X, Q = small_vectors
-    ra, rb = TraceRecorder(), TraceRecorder()
-    da, ia = bf_knn(Q, X, k=2, recorder=ra, dtype="float32")
-    db, ib = bf_knn(Q, X, k=2, ctx=ExecContext(recorder=rb, dtype="float32"))
-    np.testing.assert_array_equal(da, db)
-    np.testing.assert_array_equal(ia, ib)
-    assert _trace_key(ra) == _trace_key(rb)
-
-
 def test_ctx_overrides_index_executor(small_vectors):
-    """An explicit ctx executor wins over the index's configured one."""
+    """A caller-owned ctx executor runs the query and is left open."""
     X, Q = small_vectors
     pool = ThreadExecutor(2)
     try:
@@ -272,3 +165,34 @@ def test_ctx_recorder_not_mutated_by_null_default(small_vectors):
     index = ExactRBC(seed=0).build(X)
     index.query(Q, k=1)
     assert NULL_RECORDER.trace.phases == []
+
+
+# ------------------------------------------------------ ctx= is the only way
+
+#: per-call execution state that travels only on ``ctx``
+_CTX_FIELDS = {"recorder", "executor", "row_chunk", "tile_cols", "n_workers", "dtype"}
+
+
+def _entry_points():
+    for name in available_indexes():
+        cls = index_class(name)
+        for method in ("build", "query", "range_query"):
+            yield f"{name}.{method}", getattr(cls, method)
+    for fn in (bf_knn, bf_range, bf_nn, knn_graph):
+        yield fn.__name__, fn
+
+
+@pytest.mark.parametrize(
+    "fn", [pytest.param(fn, id=name) for name, fn in _entry_points()]
+)
+def test_entry_point_takes_ctx_only(fn):
+    params = inspect.signature(fn).parameters
+    assert "ctx" in params
+    assert not _CTX_FIELDS & params.keys()
+
+
+def test_per_call_recorder_kwarg_is_rejected(small_vectors):
+    X, Q = small_vectors
+    index = ExactRBC(seed=0).build(X)
+    with pytest.raises(TypeError):
+        index.query(Q, recorder=TraceRecorder())

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.core import ExactRBC
 from repro.parallel import bf_knn
 from repro.parallel.reduce import EMPTY_IDX
+from repro.runtime import ExecContext
 
 
 def reference_query(index, Q, k, *, use_psi_rule=True, use_3gamma_rule=True,
@@ -187,8 +188,8 @@ def test_batched_thread_executor_same_stats(small_vectors):
     serial = ExactRBC(seed=0).build(X)
     d1, i1 = serial.query(Q, k=3)
     c1 = serial.last_stats.rule_counts()
-    threaded = ExactRBC(seed=0, executor="threads").build(X)
-    d2, i2 = threaded.query(Q, k=3)
+    threaded = ExactRBC(seed=0).build(X)
+    d2, i2 = threaded.query(Q, k=3, ctx=ExecContext(executor="threads"))
     c2 = threaded.last_stats.rule_counts()
     np.testing.assert_allclose(d1, d2)
     np.testing.assert_array_equal(i1, i2)
