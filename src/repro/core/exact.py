@@ -32,13 +32,19 @@ with ``approx_eps = e > 0`` the pruning threshold shrinks from ``gamma`` to
 
 Search is **plan → scan → merge**; single-node search, the sharded server
 and the distributed engine only pick a partition of it.  :meth:`ExactRBC.plan`
-runs stage 1 and all pruning arithmetic once per batch (the rules broadcast
-over the ``(m, n_reps)`` stage-1 block, one vectorized Claim-2
-``searchsorted`` per representative, the seeds, the rule counters);
+runs stage 1 and all pruning arithmetic once per batch: the rules broadcast
+over the ``(m, n_reps)`` stage-1 block, the seeds, the rule counters, and
+the Claim-2 trim as one ``searchsorted`` of every kept ``(row, rep)`` bound
+``rep + 1j * bound`` into the **trim key**, a per-index-version
+``complex128`` array holding ``list id + 1j * rho(x, r)`` for each packed
+row (slack rows ``1j * inf``; numpy orders complex numbers by real, then
+imaginary part, so each cut is the per-list ``searchsorted`` answer).
 :meth:`ExactRBC.scan` runs stage 2 for any subset of query rows and
-representatives, one dense kernel block per trimmed prefix; partials over
-disjoint representative subsets and the plan's seed block (the seeds no
-scanned prefix holds) fold with :func:`~repro.parallel.reduce.merge_topk`.
+representatives, one dense kernel block per trimmed prefix, with every
+group's rows, cuts and prefix taken from one ``nonzero`` of the cut block;
+partials over disjoint representative subsets and the plan's seed block (the
+seeds no scanned prefix holds) fold with
+:func:`~repro.parallel.reduce.merge_topk`.
 
 **Certified survivor threshold.**  On the prepared-operand engine a scanned
 candidate survives if its kernel value is at most a per-row threshold.  A
@@ -47,6 +53,17 @@ pair's Gram value differs between the stage-1 and stage-2 calls by an
 relative slack covers next to a representative far from the origin; the
 threshold adds that bound (:func:`_rounding_bound`), so rounding can admit
 an extra survivor but never drop a true neighbor or empty a row.
+
+**Per-group cap and the ranking pass.**  Within a group each row's threshold
+is lowered to the group's k-th smallest value of that row, ties kept: a
+dropped value has k smaller ones in its own row, so it could never rank
+into the top k.  The survivors leave the group in row-major order and one
+stable ``lexsort`` over the ~``k x groups`` entries per row keeps each row's
+first k -- the same ids and distances, ties included, as ranking every
+survivor.  In float32 the cap is the k-th value plus twice the rounding
+bound: every true top-k neighbor's float32 value lies within it, so the
+float64 re-rank is certified, not a fixed over-fetch count.  The quantized
+grouped scan keeps every survivor (decoded distances cannot rank).
 """
 
 from __future__ import annotations
@@ -87,6 +104,13 @@ def _rounding_bound(metric, Qp: Prepared, rows, x_sq_max: float, g):
     if metric.prepared_kernel == "angular":
         err = err + np.pi * np.sqrt(rel)
     return err
+
+
+def _kth_smallest(D: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th smallest value, as a ``(rows, 1)`` column."""
+    if k == 1:
+        return D.min(axis=1, keepdims=True)  # partition(D, 0) is ~5x slower
+    return np.partition(D, k - 1, axis=1)[:, k - 1 : k]
 
 
 def _check_query_args(k: int, approx_eps: float) -> None:
@@ -297,7 +321,7 @@ class ExactRBC(RBCBase):
         # gamma = distance to the k-th nearest representative (upper bound
         # on the k-th NN distance); inf disables pruning when nr < k.
         if nr >= k:
-            gamma = np.partition(D_R, k - 1, axis=1)[:, k - 1]
+            gamma = _kth_smallest(D_R, k)[:, 0]
         else:
             gamma = np.full(m, np.inf)
         ge = gamma / (1.0 + approx_eps)
@@ -329,19 +353,22 @@ class ExactRBC(RBCBase):
                 )
 
         # ---- Claim-2 trim: rho(x, r) <= rho(q, r) + gamma bounds a sorted
-        # prefix; one vectorized searchsorted per surviving representative
+        # prefix; one searchsorted of every kept (row, rep) bound over the
+        # packed (list id, distance) key cuts all lists at once
+        packed = self._packed
+        rr, jj = np.nonzero(keep)
+        size = packed.lengths[jj]
+        if use_trim:
+            bound = np.empty(rr.size, dtype=np.complex128)
+            bound.real = jj
+            bound.imag = (D_R[rr, jj] + ge[rr]) * (1.0 + slack)
+            end = np.searchsorted(self._trim_key(), bound, side="right")
+            cut = np.minimum(end - packed.starts[jj], size)
+            stats.trimmed_by_4gamma = int((size - cut).sum())
+        else:
+            cut = size
         cuts = np.zeros((m, nr), dtype=np.int64)
-        lists, list_dists = self.lists, self.list_dists
-        for j in np.flatnonzero(keep.any(axis=0)):
-            size = lists[j].size
-            rows = np.flatnonzero(keep[:, j])
-            if size and use_trim:
-                bound = (D_R[rows, j] + ge[rows]) * (1.0 + slack)
-                cut = np.searchsorted(list_dists[j], bound, side="right")
-                stats.trimmed_by_4gamma += int(rows.size * size - cut.sum())
-                cuts[rows, j] = cut
-            else:
-                cuts[rows, j] = size
+        cuts[rr, jj] = cut
 
         # Seed with the k nearest representatives: they are database points
         # whose distances are already known (stage 1) to be <= gamma, which
@@ -398,13 +425,17 @@ class ExactRBC(RBCBase):
         ``EMPTY_IDX``, seeds not included.
 
         Each representative's group of rows scans one dense block, padded
-        to the longest prefix and masked back to each row's cut.  On the
-        engine the prefix is a slice of the prepared candidate operand, one
-        compare against the certified threshold keeps survivors and one
-        ``lexsort`` ranks them; off it (``engine=False``, non-vector
-        metrics) each group folds in with ``merge_group_topk``.
+        to the longest prefix and masked back to each row's cut; every
+        group's rows, cuts and prefix come from one ``nonzero`` of the cut
+        block.  On the engine the prefix is a slice of the prepared
+        candidate operand, one compare against the certified threshold
+        keeps survivors, each row's survivors are capped at the group's
+        k-th smallest value (ties kept), and one ``lexsort`` ranks what is
+        left; off it (``engine=False``, non-vector metrics) each group
+        folds in with ``merge_group_topk``.
         """
         metric = self.metric
+        packed = self._packed
         ridx = np.arange(len(plan.D_R))[rows]
         cuts = plan.cuts[rows] if reps is None else plan.cuts[rows][:, reps]
         c = ridx.size
@@ -412,11 +443,19 @@ class ExactRBC(RBCBase):
         engine = plan.Qp is not None
         quant = plan.qop is not None
         dim = metric.dim(self.rep_data)
-        # float32 mode keeps extra result slots so rounding noise cannot
-        # evict the true k-th neighbor before the float64 refinement
         k = plan.k
-        k_out = k + max(8, k) if plan.fp32 and not quant else k
         squared = engine and metric.squared_ok
+        # the groups: representative-major, rows ascending within a group
+        # (the order survivors are emitted in, which breaks distance ties)
+        cols = np.flatnonzero(cuts.any(axis=0))
+        gj, gr = np.nonzero(cuts.T)
+        gcut = cuts[gr, gj]
+        head = np.searchsorted(gj, cols)
+        end = np.searchsorted(gj, cols, side="right")
+        starts = packed.starts[cols if reps is None else np.asarray(reps)[cols]]
+        plens = np.maximum.reduceat(gcut, head)
+        ragged = np.minimum.reduceat(gcut, head) < plens
+        qrows = ridx[gr]
         if engine:
             Qp = plan.Qp_q if quant else plan.Qp
             if quant:
@@ -425,62 +464,76 @@ class ExactRBC(RBCBase):
                     metric, Qp, ridx, self._max_sqnorm("quant", Cp), 0.0
                 )
             else:
-                Cp = self._prepared_cands(str(Qp.data.dtype))
+                dtype = "float32" if plan.fp32 else "float64"
+                Cp = self._prepared_cands(dtype)
+                thr = plan.thr[qrows]
+                if plan.fp32:
+                    # float32 keeps every value within twice the rounding
+                    # bound of the k-th: that certifies the float64 re-rank
+                    over = 2.0 * _rounding_bound(
+                        metric, Qp, ridx, self._max_sqnorm(dtype), plan.thr[ridx]
+                    )
             itemsize = float(Qp.data.dtype.itemsize)
             acc_r = [np.empty(0, dtype=np.int64)]
             acc_d = [np.empty(0)]
             acc_g = [np.empty(0, dtype=np.int64)]
         else:
             itemsize = 8.0
-            dists = np.full((c, k_out), np.inf)
-            idxs = np.full((c, k_out), EMPTY_IDX, dtype=np.int64)
+            dists = np.full((c, k), np.inf)
+            idxs = np.full((c, k), EMPTY_IDX, dtype=np.int64)
         # DRAM traffic model: each unique candidate is streamed once per
         # scan (one memcpy op at the end); group ops carry only compute and
         # output bytes
         touched = np.zeros(self.n, dtype=bool) if recorder.enabled else None
         with recorder.phase("exact:stage2"):
-            for jj in np.flatnonzero(cuts.any(axis=0)):
-                j = int(jj if reps is None else reps[jj])
-                sel = np.flatnonzero(cuts[:, jj])
-                cut = cuts[sel, jj]
-                plen = int(cut.max())
-                prefix = self.lists[j][:plen]
+            for a, b, lo, plen, rag in zip(
+                head.tolist(), end.tolist(), starts.tolist(), plens.tolist(),
+                ragged.tolist(),
+            ):
+                sel = gr[a:b]
+                prefix = packed.ids[lo : lo + plen]
                 # a ragged group's rows only own their own trimmed prefix
-                ragged = int(cut.min()) < plen
-                if ragged:
-                    inside = np.arange(plen)[None, :] < cut[:, None]
+                if rag:
+                    inside = np.arange(plen)[None, :] < gcut[a:b, None]
                 if engine:
-                    lo = int(self._packed.starts[j])
                     D = metric.pairwise_prepared(
-                        Qp.take(ridx[sel]), Cp.slice(lo, lo + plen), squared=squared
+                        Qp.take(qrows[a:b]), Cp.slice(lo, lo + plen), squared=squared
                     )
                     if quant:
                         # a candidate with true distance <= g_up has decoded
                         # distance <= g_up + resid (triangle inequality),
                         # plus the float32 kernel error
-                        b = plan.g_up[ridx[sel], None] + plan.qop.resid[lo : lo + plen]
+                        bd = plan.g_up[qrows[a:b], None] + plan.qop.resid[lo : lo + plen]
                         if squared:
-                            thr = metric.to_squared(b) + 2.0 * q_err[sel, None]
+                            t = metric.to_squared(bd) + 2.0 * q_err[sel, None]
                         else:
-                            thr = b + 2.0 * _rounding_bound(metric, Qp, sel, 0.0, b)
+                            t = bd + 2.0 * _rounding_bound(metric, Qp, sel, 0.0, bd)
                     else:
-                        thr = plan.thr[ridx[sel], None]
-                    mask = D <= thr
-                    if ragged:
+                        t = thr[a:b, None]
+                        if plen > k:
+                            # each row keeps at most its k smallest values
+                            # (ties included): no other value can rank
+                            # into its top k
+                            kth = _kth_smallest(
+                                np.where(inside, D, np.inf) if rag else D, k
+                            )
+                            t = np.minimum(t, kth + over[sel, None] if plan.fp32 else kth)
+                    mask = D <= t
+                    if rag:
                         mask &= inside
                     # 1-D nonzero + divmod beats 2-D nonzero by ~2x here
-                    flat = np.flatnonzero(mask)
+                    flat = mask.ravel().nonzero()[0]
                     rr, cc = np.divmod(flat, plen)
                     acc_r.append(sel[rr])
                     acc_d.append(D.reshape(-1)[flat].astype(np.float64, copy=False))
                     acc_g.append(prefix[cc])
                 else:
                     D = metric.pairwise(
-                        metric.take(plan.Qb, ridx[sel]), metric.take(self.X, prefix)
+                        metric.take(plan.Qb, qrows[a:b]), metric.take(self.X, prefix)
                     )
-                    if ragged:
+                    if rag:
                         D[~inside] = np.inf
-                    merge_group_topk(dists, idxs, sel, D, prefix, n_valid=cut)
+                    merge_group_topk(dists, idxs, sel, D, prefix, n_valid=gcut[a:b])
                 if touched is not None:
                     touched[prefix] = True
                     _record_dist_tile(recorder, metric, sel.size, plen, dim,
@@ -501,19 +554,28 @@ class ExactRBC(RBCBase):
                        tag="exact:stage2-stream")
                 )
         if engine:
-            # one ranking pass: stable sort by (query row, distance), each
-            # row keeps its first k_out -- or, for the quantized scan whose
-            # distances cannot rank the answer, every survivor
+            # one ranking pass: stable sort by (query row, distance); each
+            # row keeps its first k -- float32 every value within ``over``
+            # of its k-th, the quantized scan (whose distances cannot rank
+            # the answer) every survivor
             r_all, d_all = np.concatenate(acc_r), np.concatenate(acc_d)
             order = np.lexsort((d_all, r_all))
-            r_s = r_all[order]
-            rank = np.arange(r_s.size) - np.searchsorted(r_s, np.arange(c + 1))[r_s]
+            r_s, d_s = r_all[order], d_all[order]
+            first = np.searchsorted(r_s, np.arange(c + 1))
+            rank = np.arange(r_s.size) - first[r_s]
             if quant:
-                k_out = max(int(rank.max()) + 1 if rank.size else 0, k)
-            top = rank < k_out
+                top = np.ones(r_s.size, dtype=bool)
+            elif plan.fp32:
+                kth = np.full(c, np.inf)
+                full = np.flatnonzero(np.diff(first) >= k)
+                kth[full] = d_s[first[full] + k - 1]
+                top = d_s <= kth[r_s] + over[r_s]
+            else:
+                top = rank < k
+            k_out = max(int(rank[top].max()) + 1 if top.any() else 0, k)
             dists = np.full((c, k_out), np.inf)
             idxs = np.full((c, k_out), EMPTY_IDX, dtype=np.int64)
-            dists[r_s[top], rank[top]] = d_all[order][top]
+            dists[r_s[top], rank[top]] = d_s[top]
             idxs[r_s[top], rank[top]] = np.concatenate(acc_g)[order][top]
         if quant or plan.fp32:
             # exact float64 re-score and re-rank of the candidates
@@ -609,31 +671,51 @@ class ExactRBC(RBCBase):
         return out
 
     def warm(self, ctx: ExecContext | None = None) -> "ExactRBC":
-        """Additionally pre-computes the representative-position table the
-        batched stage 2 consults (see :meth:`RBCBase.warm`)."""
+        """Additionally pre-computes the Claim-2 trim key and the
+        representative-position table :meth:`plan` consults (see
+        :meth:`RBCBase.warm`)."""
         super().warm(ctx)
+        self._trim_key()
         self._rep_positions()
         return self
+
+    def _trim_key(self) -> np.ndarray:
+        """Sort key of the packed lists for the one-call Claim-2 trim, cached
+        per index version: backing row ``t`` of list ``j`` is the complex
+        ``j + 1j * rho(x_t, r_j)`` (slack rows ``1j * inf``).  numpy orders
+        complex numbers by real then imaginary part, so ``searchsorted`` of
+        ``j + 1j * bound`` lands on list ``j``'s cut with exactly the float
+        comparisons of a per-list ``searchsorted``.
+        """
+        key = self._prep.get("trim_key")
+        if key is None:
+            packed = self._packed
+            owner, live = packed.row_owners()
+            # fields by assignment: the arithmetic 1j * inf is nan + inf j
+            key = np.empty(owner.size, dtype=np.complex128)
+            key.real = owner
+            key.imag = np.where(live, packed.dists, np.inf)
+            self._prep["trim_key"] = key
+        return key
 
     def _rep_positions(self) -> tuple[np.ndarray, np.ndarray]:
         """``(owner, pos)``: representative ``r`` (a database point) sits at
         ``lists[owner[r]][pos[r]]`` (``owner`` -1: in no list, "not
         scanned"), so a seed inside a scanned prefix is not examined twice.
-        Built by a Python loop over every list, so cached per index version.
+        Cached per index version.
         """
         cached = self._prep.get("rep_positions")
         if cached is not None:
             return cached
+        packed = self._packed
+        row_owner, live = packed.row_owners()
+        t = np.flatnonzero(live)
+        t = t[np.isin(packed.ids[t], self.rep_ids)]
+        ridx = np.searchsorted(self.rep_ids, packed.ids[t])
         owner = np.full(self.n_reps, -1, dtype=np.int64)
         pos = np.zeros(self.n_reps, dtype=np.int64)
-        for j, lst in enumerate(self.lists):
-            if lst.size == 0:
-                continue
-            hit = np.flatnonzero(np.isin(lst, self.rep_ids))
-            if hit.size:
-                ridx = np.searchsorted(self.rep_ids, lst[hit])
-                owner[ridx] = j
-                pos[ridx] = hit
+        owner[ridx] = row_owner[t]
+        pos[ridx] = t - packed.starts[row_owner[t]]
         self._prep["rep_positions"] = (owner, pos)
         return owner, pos
 

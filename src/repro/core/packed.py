@@ -87,6 +87,13 @@ class PackedLists:
         lo = int(self.starts[j])
         return lo, lo + int(self.lengths[j])
 
+    def row_owners(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(owner, live)`` per backing row: the list whose segment holds
+        the row (slack included) and whether the row is a stored entry."""
+        owner = np.repeat(np.arange(self.n_lists), np.diff(self.starts))
+        live = np.arange(owner.size) - self.starts[owner] < self.lengths[owner]
+        return owner, live
+
     def ids_of(self, j: int) -> np.ndarray:
         """List ``j``'s global ids — a contiguous view, never a copy."""
         lo, hi = self.span(j)

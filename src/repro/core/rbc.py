@@ -333,9 +333,7 @@ class RBCBase(Index):
             packed = self._packed
             # clip slack/stale ids into range: those rows are never read
             safe_ids = np.clip(packed.ids, 0, self.n - 1)
-            for j in range(packed.n_lists):
-                lo, hi = packed.span(j)
-                safe_ids[hi : packed.starts[j + 1]] = 0
+            safe_ids[~packed.row_owners()[1]] = 0
             gathered = self.X[safe_ids]
             ent = operand_cache.get(
                 self.metric, gathered, dtype=dtype, version=self._version
@@ -404,13 +402,10 @@ class RBCBase(Index):
             gathered = self._prep[("cands_src", "float64")]
             packed = self._packed
             safe_ids = np.clip(packed.ids, 0, self.n - 1).astype(np.int64)
-            valid = np.zeros(safe_ids.size, dtype=bool)
-            for j in range(packed.n_lists):
-                lo, hi = packed.span(j)
-                valid[lo:hi] = True
-                # slack rows map to -1 (refine_topk's ignored padding id),
-                # never to a real point, should one leak past the masks
-                safe_ids[hi : packed.starts[j + 1]] = -1
+            valid = packed.row_owners()[1]
+            # slack rows map to -1 (refine_topk's ignored padding id),
+            # never to a real point, should one leak past the masks
+            safe_ids[~valid] = -1
             ent = operand_cache.get_quantized(
                 self.metric,
                 gathered,

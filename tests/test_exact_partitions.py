@@ -97,6 +97,19 @@ def test_near_representative_queries_exact_for_every_caller(offset):
         assert_matches_oracle(Q, X, dist, idx, 1, label=f"{label} @ {offset}")
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float32_far_from_origin_is_exact_after_refinement(seed):
+    # the float32 Gram error is absolute, ~u (|q|^2 + |x|^2): at offset 1000
+    # it dwarfs the neighbor gaps, so a fixed over-fetch count misses true
+    # neighbors; every value within twice the bound of the k-th must be kept
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(4000, 8)) + 1000.0
+    Q = near_rep_queries(X, seed=seed + 10)
+    index = ExactRBC(seed=0, dtype="float32").build(X)
+    dist, idx = index.query(Q, k=5)
+    assert_matches_oracle(Q, X, dist, idx, 5, label=f"float32 seed {seed}")
+
+
 # ------------------------------------------------------- hostile inputs
 def test_duplicate_points():
     rng = np.random.default_rng(2)

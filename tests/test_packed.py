@@ -29,6 +29,13 @@ def assert_matches_model(packed, lists, dists):
         assert packed.size(j) == len(l)
         lo, hi = packed.span(j)
         assert hi - lo == len(l)
+    # every backing row names its segment; only stored entries are live
+    owner, live = packed.row_owners()
+    assert owner.size == live.size == packed.capacity
+    for j in range(packed.n_lists):
+        lo, hi = packed.span(j)
+        assert (owner[lo : packed.starts[j + 1]] == j).all()
+        assert live[lo:hi].all() and not live[hi : packed.starts[j + 1]].any()
 
 
 def test_round_trip(rng):
