@@ -35,10 +35,11 @@ and the distributed engine only pick a partition of it.  :meth:`ExactRBC.plan`
 runs stage 1 and all pruning arithmetic once per batch: the rules broadcast
 over the ``(m, n_reps)`` stage-1 block, the seeds, the rule counters, and
 the Claim-2 trim as one ``searchsorted`` of every kept ``(row, rep)`` bound
-``rep + 1j * bound`` into the **trim key**, a per-index-version
-``complex128`` array holding ``list id + 1j * rho(x, r)`` for each packed
-row (slack rows ``1j * inf``; numpy orders complex numbers by real, then
-imaginary part, so each cut is the per-list ``searchsorted`` answer).
+``rep + 1j * bound`` into the **trim key**, a packed ``complex128``
+column holding ``list id + 1j * rho(x, r)`` for each row (slack rows
+``list id + 1j * inf``; numpy orders complex numbers by real, then
+imaginary part, so each cut is the per-list ``searchsorted`` answer) that
+inserts and deletes move with the lists.
 :meth:`ExactRBC.scan` runs stage 2 for any subset of query rows and
 representatives, one dense kernel block per trimmed prefix, with every
 group's rows, cuts and prefix taken from one ``nonzero`` of the cut block;
@@ -104,6 +105,12 @@ def _rounding_bound(metric, Qp: Prepared, rows, x_sq_max: float, g):
     if metric.prepared_kernel == "angular":
         err = err + np.pi * np.sqrt(rel)
     return err
+
+
+def _trim_slack(j: int) -> complex:
+    """Trim-key value of a slack row of list ``j``: after every stored row
+    of the list, before list ``j + 1``."""
+    return complex(j, np.inf)
 
 
 def _kth_smallest(D: np.ndarray, k: int) -> np.ndarray:
@@ -680,29 +687,49 @@ class ExactRBC(RBCBase):
         return self
 
     def _trim_key(self) -> np.ndarray:
-        """Sort key of the packed lists for the one-call Claim-2 trim, cached
-        per index version: backing row ``t`` of list ``j`` is the complex
-        ``j + 1j * rho(x_t, r_j)`` (slack rows ``1j * inf``).  numpy orders
-        complex numbers by real then imaginary part, so ``searchsorted`` of
-        ``j + 1j * bound`` lands on list ``j``'s cut with exactly the float
-        comparisons of a per-list ``searchsorted``.
+        """Sort key of the packed lists for the one-call Claim-2 trim, a
+        packed column: backing row ``t`` of list ``j`` is the complex
+        ``j + 1j * rho(x_t, r_j)`` (slack rows ``j + 1j * inf``).  numpy
+        orders complex numbers by real then imaginary part, so
+        ``searchsorted`` of ``j + 1j * bound`` lands on list ``j``'s cut
+        with exactly the float comparisons of a per-list ``searchsorted``.
+        Rebuilt only after a build or a representative delete; inserts and
+        deletes move it with the lists.
         """
-        key = self._prep.get("trim_key")
+        packed = self._packed
+        key = packed.columns.get("trim_key")
         if key is None:
-            packed = self._packed
             owner, live = packed.row_owners()
             # fields by assignment: the arithmetic 1j * inf is nan + inf j
             key = np.empty(owner.size, dtype=np.complex128)
             key.real = owner
             key.imag = np.where(live, packed.dists, np.inf)
-            self._prep["trim_key"] = key
+            packed.attach("trim_key", key, _trim_slack)
         return key
+
+    def _list_row(self, j: int, dist: float, row: dict) -> dict:
+        if "trim_key" in self._packed.columns:
+            row = {**row, "trim_key": complex(j, dist)}
+        return row
+
+    _PATCHED = RBCBase._PATCHED + ("rep_positions",)
+
+    def _after_edit(self, j: int, pos: int, step: int, relayout: bool) -> None:
+        """Also shifts the representatives after row ``pos`` of list ``j``
+        in the position table (see :meth:`RBCBase._after_edit`)."""
+        cached = self._prep.get("rep_positions")
+        if cached is not None:
+            owner, rpos = cached
+            # an insert lands before the entry at pos, a delete removes it
+            rpos[(owner == j) & (rpos >= pos + (step < 0))] += step
+        super()._after_edit(j, pos, step, relayout)
 
     def _rep_positions(self) -> tuple[np.ndarray, np.ndarray]:
         """``(owner, pos)``: representative ``r`` (a database point) sits at
         ``lists[owner[r]][pos[r]]`` (``owner`` -1: in no list, "not
         scanned"), so a seed inside a scanned prefix is not examined twice.
-        Cached per index version.
+        Rebuilt only after a build or a representative delete; inserts and
+        deletes shift it.
         """
         cached = self._prep.get("rep_positions")
         if cached is not None:
@@ -757,9 +784,7 @@ class ExactRBC(RBCBase):
             self.metric.take(self.X, [gid]), self.rep_data
         )[0]
         j = int(np.argmin(d))
-        pos = int(np.searchsorted(self.list_dists[j], d[j]))
-        self._packed.insert(j, pos, gid, float(d[j]))
-        self.radii[j] = max(self.radii[j], float(d[j]))
+        self._insert_rows(gid, [j], [d[j]])
         return gid
 
     def delete(self, gid: int) -> None:
@@ -780,18 +805,17 @@ class ExactRBC(RBCBase):
         packed = self._packed
         rep_pos = np.flatnonzero(self.rep_ids == gid)
         if rep_pos.size == 0:
-            for j in range(packed.n_lists):
-                hit = np.flatnonzero(packed.ids_of(j) == gid)
-                if hit.size:
-                    packed.delete_at(j, int(hit[0]))
-                    return
-            raise AssertionError(f"point {gid} missing from every list")
+            if not self._delete_rows(gid):
+                raise AssertionError(f"point {gid} missing from every list")
+            return
 
         j = int(rep_pos[0])
         if self.rep_ids.size == 1:
             raise ValueError(
                 "cannot delete the only representative; rebuild the index"
             )
+        # the lists and the representative block are renumbered
+        self._reset_prep()
         lst = packed.ids_of(j)
         orphans = lst[lst != gid].copy()
         # drop representative j

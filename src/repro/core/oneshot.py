@@ -109,8 +109,8 @@ class OneShotRBC(RBCBase):
 
         Pure function of the index state; the ``np.all`` over the lengths
         is a per-call fixed cost a one-query-at-a-time stream pays over and
-        over, so it is cached per index version (``_prep`` is cleared by
-        every build/insert/delete).
+        over, so it is cached per index version (every build, insert and
+        delete drops it).
         """
         cached = self._prep.get("uniform_layout")
         if cached is not None:
@@ -456,10 +456,8 @@ class OneShotRBC(RBCBase):
         )[0]
         targets = set(np.flatnonzero(d <= self.radii).tolist())
         targets.add(int(np.argmin(d)))
-        for j in targets:
-            pos = int(np.searchsorted(self.list_dists[j], d[j]))
-            self._packed.insert(j, pos, gid, float(d[j]))
-            self.radii[j] = max(self.radii[j], float(d[j]))
+        targets = sorted(targets)
+        self._insert_rows(gid, targets, d[targets])
         return gid
 
     def delete(self, gid: int) -> None:
@@ -473,8 +471,4 @@ class OneShotRBC(RBCBase):
         self._require_vector_db("delete")
         gid = int(gid)
         self._tombstone(gid)
-        packed = self._packed
-        for j in range(packed.n_lists):
-            hit = np.flatnonzero(packed.ids_of(j) == gid)
-            if hit.size:
-                packed.delete_at(j, int(hit[0]))
+        self._delete_rows(gid)

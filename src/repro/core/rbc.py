@@ -27,13 +27,17 @@ import numpy as np
 from ..index.protocol import Capabilities, Index
 from ..metrics import get_metric
 from ..metrics.base import Metric
-from ..metrics.engine import check_dtype, operand_cache
+from ..metrics.engine import Prepared, check_dtype, operand_cache
 from ..metrics.quantize import check_quantizer, supports_quantization
 from ..runtime.context import ExecContext
 from .packed import PackedLists
 from .stats import BuildStats, SearchStats
 
 __all__ = ["RBCBase", "sample_representatives"]
+
+#: packed column of the gathered float64 candidate block (row ``t`` is the
+#: database point ``packed.ids[t]``) every prepared dtype derives from
+_SRC = ("cands_src", "float64")
 
 
 def sample_representatives(
@@ -156,10 +160,13 @@ class RBCBase(Index):
         #: database append buffer: ``X`` is a length-``n`` view of it once
         #: the first insert over-allocates (capacity/length split)
         self._X_buf: np.ndarray | None = None
-        #: version stamp for the prepared-operand caches; bumped by every
-        #: build and dynamic update so stale norms can never be served
+        #: version stamp of the index state; bumped by every build and
+        #: dynamic update (read by the semantic cache and the residency
+        #: tracker)
         self._version: int = 0
-        #: per-structure prepared operands: name -> (version, Prepared)
+        #: per-version derived state (prepared operands, trim tables,
+        #: plans): a write patches the row-aligned parts in step with the
+        #: packed edit and drops the rest (see :meth:`_after_edit`)
         self._prep: dict = {}
 
     # ------------------------------------------------------------- helpers
@@ -214,6 +221,7 @@ class RBCBase(Index):
         list_dists: list[np.ndarray],
         build_evals: int,
     ) -> None:
+        self._reset_prep()
         self.X = X
         self._X_buf = None
         self.n = self.metric.length(X)
@@ -253,18 +261,36 @@ class RBCBase(Index):
         )
 
     def _bump_version(self) -> None:
-        """Invalidate every prepared operand derived from the index state."""
+        """Stamp a new index version.  The operand-cache entries prepared
+        from the representative and candidate blocks are evicted: the
+        index keeps (and patches) its own operands in ``_prep``, and a
+        superseded entry would only pin its source array."""
         self._version += 1
+        self._release_operands()
+
+    def _release_operands(self) -> None:
+        src = self._packed.columns.get(_SRC) if self._packed is not None else None
+        for X in (self.rep_data, src):
+            if X is not None:
+                operand_cache.evict(self.metric, X)
+
+    def _reset_prep(self) -> None:
+        """Discard all per-version state: a build or a representative
+        delete renumbers the lists and the representative block."""
+        self._release_operands()
         self._prep.clear()
+        if self._packed is not None:
+            self._packed.detach_all()
 
     def warm(self, ctx: ExecContext | None = None) -> "RBCBase":
         """Pre-populate the per-version caches the query hot path fills
         lazily (prepared representatives and candidate matrix for the
         effective dtype), so a serving front-end pays the one-time
         preparation cost before the first query arrives instead of inside
-        its latency budget.  Idempotent; invalidated like everything else
-        by the next build/insert/delete.  Subclasses extend this with
-        their own derived structures."""
+        its latency budget.  Idempotent; inserts and deletes patch what it
+        built (the quantized tier excepted), builds and representative
+        deletes discard it.  Subclasses extend this with their own derived
+        structures."""
         self._require_built()
         ctx = self._call_ctx(ctx)
         if self._engine_active(ctx):
@@ -324,25 +350,39 @@ class RBCBase(Index):
     def _prepared_cands(self, dtype: str | None = None):
         """Prepared pre-gathered candidate matrix, aligned with the packed
         list storage: backing row ``t`` holds the database point
-        ``packed.ids[t]``, so every stage-2 list prefix is a contiguous
-        slice of compute-ready rows (slack rows are zero-filled)."""
+        ``packed.ids[t]`` (slack rows the point 0, never read), so every
+        stage-2 list prefix is a contiguous slice of compute-ready rows.
+
+        Gathered once per build into the float64 source block, prepared
+        once per dtype, and attached column by column to the packed
+        storage, so inserts and deletes move these rows with the lists.
+        """
         dtype = self.dtype if dtype is None else dtype
         key = ("cands", dtype)
         ent = self._prep.get(key)
         if ent is None:
-            packed = self._packed
-            # clip slack/stale ids into range: those rows are never read
-            safe_ids = np.clip(packed.ids, 0, self.n - 1)
-            safe_ids[~packed.row_owners()[1]] = 0
-            gathered = self.X[safe_ids]
-            ent = operand_cache.get(
-                self.metric, gathered, dtype=dtype, version=self._version
+            cols = self._packed.columns
+            if ("cands", dtype, "data") not in cols:
+                self._attach_cands(dtype)
+            ent = Prepared(
+                *(cols.get(("cands", dtype, f)) for f in Prepared.__slots__)
             )
-            # keep the gathered matrix alive alongside its prepared form
-            # (the cache holds only a weak reference to it)
             self._prep[key] = ent
-            self._prep[("cands_src", dtype)] = gathered
         return ent
+
+    def _attach_cands(self, dtype: str) -> None:
+        packed = self._packed
+        src = packed.columns.get(_SRC)
+        if src is None:
+            src = self.X[np.where(packed.row_owners()[1], packed.ids, 0)]
+            packed.attach(_SRC, src, self.X[0].copy())
+        ent = operand_cache.get(
+            self.metric, src, dtype=dtype, version=self._version
+        )
+        fill = self.metric.prepare(self.X[[0, 0]], dtype=dtype)
+        for f in Prepared.__slots__:
+            if getattr(ent, f) is not None:
+                packed.attach(("cands", dtype, f), getattr(ent, f), getattr(fill, f)[0])
 
     # ----------------------------------------------------- quantized tier
     def _estimate_candidate_fraction(self) -> float:
@@ -399,8 +439,8 @@ class RBCBase(Index):
         ent = self._prep.get(key)
         if ent is None:
             self._prepared_cands("float64")  # parent + gathered matrix
-            gathered = self._prep[("cands_src", "float64")]
             packed = self._packed
+            gathered = packed.columns[_SRC]
             safe_ids = np.clip(packed.ids, 0, self.n - 1).astype(np.int64)
             valid = packed.row_owners()[1]
             # slack rows map to -1 (refine_topk's ignored padding id),
@@ -464,6 +504,67 @@ class RBCBase(Index):
         self._bump_version()
         return self.n - 1
 
+    #: ``_prep`` entries a write keeps in step with the packed edit; it
+    #: drops every other one (rebuilt lazily by the next read)
+    _PATCHED = ("reps", "cands")
+
+    def _point_row(self, gid: int) -> dict:
+        """The new rows a point brings to the attached candidate columns:
+        its source row and, per cached dtype, ``metric.prepare`` of that
+        one point.  The point is prepared as a two-row block: BLAS takes a
+        matrix-vector path for one row (Mahalanobis' transform), whose
+        rounding differs from the block the rebuild prepares."""
+        x = self.X[[gid, gid]]
+        prepared, row = {}, {}
+        for name in self._packed.columns:
+            if name == _SRC:
+                row[name] = x[0]
+            elif isinstance(name, tuple) and name[0] == "cands":
+                _, dtype, f = name
+                if dtype not in prepared:
+                    prepared[dtype] = self.metric.prepare(x, dtype=dtype)
+                row[name] = getattr(prepared[dtype], f)[0]
+        return row
+
+    def _list_row(self, j: int, dist: float, row: dict) -> dict:
+        """``row`` plus the attached columns whose new row depends on the
+        list (subclass hook)."""
+        return row
+
+    def _insert_rows(self, gid: int, lists, dists) -> None:
+        """File point ``gid`` into each list of ``lists`` at its sorted
+        position (``dists``: its distance to each list's representative),
+        growing the radii; every attached column gets its new row."""
+        packed = self._packed
+        row = self._point_row(gid)
+        for j, dist in zip(lists, dists):
+            dist = float(dist)
+            pos = int(np.searchsorted(packed.dists_of(j), dist))
+            relayout = packed.insert(j, pos, gid, dist, self._list_row(j, dist, row))
+            self.radii[j] = max(self.radii[j], dist)
+            self._after_edit(j, pos, 1, relayout)
+
+    def _delete_rows(self, gid: int) -> int:
+        """Remove point ``gid`` from every list holding it (one compare
+        over the packed ids); returns how many lists held it."""
+        lists, positions = self._packed.find(gid)
+        # last row first: no deletion moves a row still to be deleted
+        for j, pos in zip(lists[::-1].tolist(), positions[::-1].tolist()):
+            self._packed.delete_at(j, pos)
+            self._after_edit(j, pos, -1, False)
+        return int(lists.size)
+
+    def _after_edit(self, j: int, pos: int, step: int, relayout: bool) -> None:
+        """Keep ``_prep`` in step with one packed edit at row ``pos`` of
+        list ``j`` (``step`` +1: insert, -1: delete).  The attached columns
+        already moved; entries outside ``_PATCHED`` are dropped, and after
+        a relayout the prepared wrappers are re-made around the moved
+        columns on the next read."""
+        for key in list(self._prep):
+            name = key[0] if isinstance(key, tuple) else key
+            if name not in self._PATCHED or (relayout and name == "cands"):
+                del self._prep[key]
+
     def _tombstone(self, gid: int) -> None:
         if self._active is None:
             self._active = np.ones(self.n, dtype=bool)
@@ -473,20 +574,21 @@ class RBCBase(Index):
         self._bump_version()
 
     def memory_footprint(self) -> int:
-        """Approximate bytes held by the cover: ids + distances + radii,
-        counting *allocated capacity* (packed-list slack and the database
-        append buffer's tail included), not just live entries."""
+        """Approximate bytes held by the cover: the packed columns (ids,
+        distances and any attached candidate block) + radii + quantized
+        codes, counting *allocated capacity* (packed-list slack and the
+        database append buffer's tail included), not just live entries."""
         self._require_built()
         total = self.rep_ids.nbytes + self.radii.nbytes
         if self._packed is not None:
-            total += self._packed.nbytes
+            total += self._packed.nbytes  # the attached columns included
         if self._X_buf is not None and isinstance(self.X, np.ndarray):
             # slack rows beyond the live view
             total += (self._X_buf.shape[0] - self.n) * self.X.itemsize * (
                 self.X.shape[1] if self.X.ndim == 2 else 1
             )
         for key, val in self._prep.items():
-            if isinstance(key, tuple) and key[0] in ("cands_src", "quant"):
+            if isinstance(key, tuple) and key[0] == "quant":
                 total += val.nbytes
         return total
 

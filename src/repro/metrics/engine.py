@@ -18,9 +18,11 @@ This module removes all of that:
   the O(n d) preparation exactly once.
 * :class:`OperandCache` — a process-wide cache of prepared operands keyed
   on array identity plus a caller-supplied version stamp.  Index structures
-  bump their stamp on ``insert``/``delete``/rebuild, which invalidates
-  every prepared form derived from the database.  The cache keeps weak
-  references only, so it never extends an array's lifetime.
+  bump their stamp on ``insert``/``delete``/rebuild and :meth:`evict
+  <OperandCache.evict>` the operands they superseded.  An entry holds a
+  weak reference to its source array but a strong one to its prepared
+  form, and that form's ``data`` may *be* the source (float64 Gram-trick
+  metrics), so an entry can keep its source alive until it is evicted.
 * :class:`CacheCounter` — the measurement instrument (mirroring
   :class:`~repro.metrics.base.DistanceCounter`): how many operand
   preparations (norm computations) ran, how many calls were served from
@@ -187,12 +189,16 @@ class OperandCache:
     stamp and bump it on every dynamic update, so stale norms can never be
     served after an ``insert``/``delete``/rebuild.
 
-    Entries hold weak references to the source array — the cache never
-    keeps data alive — and the table is LRU-bounded.  The ``id()`` key is
-    safe because a dead referent (whose id could be recycled) is detected
-    through the weakref and dropped.  The cache does **not** fingerprint
-    array contents: callers mutating an array in place must bump the
-    version stamp (the index classes do) or bypass the cache.
+    Entries hold a weak reference to the source array and a strong one to
+    its prepared form, and the table is LRU-bounded.  When the prepared
+    ``data`` is the source itself (float64 with nothing to transform) the
+    entry keeps the source alive until it is evicted or pushed out of the
+    LRU, so an owner that replaces a source calls :meth:`evict` on the old
+    one.  The ``id()`` key is safe because a dead referent (whose id could
+    be recycled) is detected through the weakref and dropped.  The cache
+    does **not** fingerprint array contents: callers mutating an array in
+    place must bump the version stamp (the index classes do) or bypass the
+    cache.
     """
 
     def __init__(self, max_entries: int = 32) -> None:
@@ -222,6 +228,12 @@ class OperandCache:
         for k in dead:
             del self._entries[k]
             self.stats.add_invalidated()
+
+    def evict(self, metric, X) -> None:
+        """Drop every entry prepared from ``X`` for ``metric`` (all dtypes
+        and quantized variants): the owner superseded them."""
+        with self._lock:
+            self._evict_family(metric.cache_token(), id(X))
 
     def _lookup(self, key, X, version):
         """Hit / stale handling shared by the dtype and quantized getters.

@@ -22,6 +22,8 @@ from repro.metrics.engine import check_dtype
 from repro.parallel import bf_knn, bf_range
 from repro.runtime import ExecContext
 
+from .test_patched_writes import assert_matches_rebuild
+
 VECTOR_METRICS = [
     Euclidean,
     SqEuclidean,
@@ -172,12 +174,11 @@ def test_dynamic_update_invalidates_and_recomputes(cls, rng):
 
     gid = index.insert(rng.normal(size=6))
     assert index._version > version0
-    prepared0 = operand_cache.stats.snapshot().n_prepared
     d1, i1 = index.query(Q, k=2)
-    assert operand_cache.stats.snapshot().n_prepared > prepared0, (
-        "insert did not trigger re-preparation"
-    )
-    # the fresh point must be reachable through the recomputed operands
+    # the insert patched the stage-2 operands: they equal a from-scratch
+    # rebuild of the same index state bit for bit
+    assert_matches_rebuild(index, dtypes=("float64",))
+    # the fresh point must be reachable through the patched operands
     d_new, i_new = index.query(X[[0]] * 0 + index.X[gid][None, :], k=1)
     assert i_new[0, 0] == gid
 

@@ -167,3 +167,41 @@ def test_lists_api_preserved_after_build(cls, rng):
         assert np.all(np.diff(d) >= 0)  # sorted by distance to rep
         total += lst.size
     assert total == index.packed.total
+
+
+def test_attached_columns_move_with_the_lists(rng):
+    """Attached columns follow every insert, delete and drop row for row;
+    an aliased array moves once; slack rows hold each column's fill."""
+    lists, dists = random_lists(rng, 5, max_len=6)
+    packed = PackedLists(lists, dists)
+
+    def rows_of(ids):
+        return np.stack([ids, -ids], axis=1).astype(np.float64)
+
+    block = rows_of(packed.ids)
+    packed.attach("block", block, -1.0)
+    packed.attach("alias", block, -1.0)  # the same array under a 2nd name
+    packed.attach("owner", packed.row_owners()[0].astype(np.float64), lambda j: j)
+    with pytest.raises(ValueError):
+        packed.attach("short", np.zeros(packed.capacity + 1), 0.0)
+    for _ in range(40):
+        j = int(rng.integers(packed.n_lists))
+        if rng.random() < 0.6 or packed.size(j) == 0:
+            gid, dist = int(rng.integers(1000)), float(rng.random())
+            pos = int(np.searchsorted(packed.dists_of(j), dist))
+            row = {"block": rows_of(np.array([gid]))[0], "owner": float(j)}
+            with pytest.raises(ValueError):
+                packed.insert(j, pos, gid, dist, {"block": row["block"]})
+            packed.insert(j, pos, gid, dist, {**row, "alias": row["block"]})
+        else:
+            packed.delete_at(j, int(rng.integers(packed.size(j))))
+    packed.drop(0)
+    cols = packed.columns
+    assert cols["block"] is cols["alias"]
+    owner, live = packed.row_owners()
+    np.testing.assert_array_equal(cols["block"][live], rows_of(packed.ids[live]))
+    # the drop renumbered the lists; the owner column keeps old numbers
+    np.testing.assert_array_equal(cols["owner"], owner + 1)
+    assert (cols["block"][~live] == -1.0).all()
+    packed.detach_all()
+    assert set(packed.columns) == {"ids", "dists"}
