@@ -37,7 +37,6 @@ class AESA(Index):
 
     CAPS = Capabilities(
         exact=True,
-        process_safe=False,
         rescorable=True,
     )
 

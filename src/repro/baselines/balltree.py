@@ -43,7 +43,6 @@ class BallTree(Index):
 
     CAPS = Capabilities(
         exact=True,
-        process_safe=False,
         rescorable=True,
     )
 

@@ -28,7 +28,6 @@ class BruteForceIndex(Index):
         exact=True,
         range_queries=True,
         mutable=False,
-        process_safe=True,
         rescorable=True,
     )
 

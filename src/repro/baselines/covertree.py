@@ -59,7 +59,6 @@ class CoverTree(Index):
 
     CAPS = Capabilities(
         exact=True,
-        process_safe=False,
         rescorable=True,
     )
 

@@ -48,7 +48,6 @@ class GNAT(Index):
 
     CAPS = Capabilities(
         exact=True,
-        process_safe=False,
         rescorable=True,
     )
 

@@ -53,7 +53,6 @@ class KDTree(Index):
 
     CAPS = Capabilities(
         exact=True,
-        process_safe=False,
         rescorable=True,
     )
 

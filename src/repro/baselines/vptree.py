@@ -45,7 +45,6 @@ class VPTree(Index):
 
     CAPS = Capabilities(
         exact=True,
-        process_safe=False,
         rescorable=True,
     )
 

@@ -881,7 +881,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument(
         "--backend",
-        choices=["serial", "threads", "processes"],
+        choices=["serial", "threads"],
         default=None,
         help="executor backend for the dispatched query calls",
     )

@@ -52,8 +52,9 @@ candidate survives if its kernel value is at most a per-row threshold.  A
 pair's Gram value differs between the stage-1 and stage-2 calls by an
 *absolute* rounding error of order ``u (|q|^2 + max |x|^2)``, which no
 relative slack covers next to a representative far from the origin; the
-threshold adds that bound (:func:`_rounding_bound`), so rounding can admit
-an extra survivor but never drop a true neighbor or empty a row.
+threshold adds that bound (:func:`~repro.metrics.engine.rounding_bound`),
+so rounding can admit an extra survivor but never drop a true neighbor or
+empty a row.
 
 **Per-group cap and the ranking pass.**  Within a group each row's threshold
 is lowered to the group's k-th smallest value of that row, ties kept: a
@@ -73,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..metrics.engine import Prepared, refine_topk, rescore_pairs
+from ..metrics.engine import Prepared, refine_topk, rescore_pairs, rounding_bound
 from ..parallel.blocking import row_chunks
 from ..parallel.bruteforce import _is_batch, _record_dist_tile, _record_select
 from ..parallel.pool import SerialExecutor
@@ -85,26 +86,6 @@ from .rbc import RBCBase, sample_representatives
 from .stats import SearchStats
 
 __all__ = ["ExactRBC", "StagePlan"]
-
-
-def _rounding_bound(metric, Qp: Prepared, rows, x_sq_max: float, g):
-    """Bound on ``|computed - exact|`` of one prepared-kernel value for the
-    query rows ``rows``, in the kernel's ranking domain.
-
-    ``4 (d + 2) eps`` is twice the dot-product bound ``2 gamma_{d+2}``
-    (``gamma_n = n u / (1 - n u)``, ``u = eps / 2``); the margin covers
-    rounding the operands to the compute dtype.  Gram-trick metrics
-    (``squared_ok``) carry an absolute error scaled by the norms, the
-    others a relative one at distance scale ``g`` (plus the square-root
-    loss of ``arccos`` near 0 for the angular metric).
-    """
-    rel = 4.0 * (Qp.data.shape[1] + 2) * float(np.finfo(Qp.data.dtype).eps)
-    if metric.squared_ok:
-        return rel * (Qp.sqnorms[rows].astype(np.float64) + x_sq_max)
-    err = rel * g
-    if metric.prepared_kernel == "angular":
-        err = err + np.pi * np.sqrt(rel)
-    return err
 
 
 def _trim_slack(j: int) -> complex:
@@ -267,10 +248,7 @@ class ExactRBC(RBCBase):
         )
         chunks = [slice(*ch) for ch in row_chunks(len(plan.D_R), 256)] or [slice(0, 0)]
         evals0 = self.metric.counter.n_evals
-        # stage 2 under a process pool would ship the whole index state per
-        # chunk; the batched kernels are BLAS-bound and release the GIL, so
-        # the context degrades that backend to inline execution
-        with ctx.executor_scope(inline_processes=True) as exec_:
+        with ctx.executor_scope() as exec_:
             if len(chunks) == 1 or isinstance(exec_, SerialExecutor):
                 parts = [self.scan(plan, rows) for rows in chunks]
             else:
@@ -407,7 +385,7 @@ class ExactRBC(RBCBase):
             # a true top-k neighbor's stage-2 value is <= its exact value +
             # err <= the k-th representative's exact value + err <= gamma +
             # 2 err; one more err covers the rounding of gamma itself
-            err = _rounding_bound(
+            err = rounding_bound(
                 metric, Qp, slice(None), self._max_sqnorm(dtype), gamma
             )
             if metric.squared_ok:
@@ -467,7 +445,7 @@ class ExactRBC(RBCBase):
             Qp = plan.Qp_q if quant else plan.Qp
             if quant:
                 Cp = plan.qop.decoded
-                q_err = _rounding_bound(
+                q_err = rounding_bound(
                     metric, Qp, ridx, self._max_sqnorm("quant", Cp), 0.0
                 )
             else:
@@ -477,7 +455,7 @@ class ExactRBC(RBCBase):
                 if plan.fp32:
                     # float32 keeps every value within twice the rounding
                     # bound of the k-th: that certifies the float64 re-rank
-                    over = 2.0 * _rounding_bound(
+                    over = 2.0 * rounding_bound(
                         metric, Qp, ridx, self._max_sqnorm(dtype), plan.thr[ridx]
                     )
             itemsize = float(Qp.data.dtype.itemsize)
@@ -514,7 +492,7 @@ class ExactRBC(RBCBase):
                         if squared:
                             t = metric.to_squared(bd) + 2.0 * q_err[sel, None]
                         else:
-                            t = bd + 2.0 * _rounding_bound(metric, Qp, sel, 0.0, bd)
+                            t = bd + 2.0 * rounding_bound(metric, Qp, sel, 0.0, bd)
                     else:
                         t = thr[a:b, None]
                         if plen > k:

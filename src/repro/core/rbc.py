@@ -161,8 +161,7 @@ class RBCBase(Index):
         #: the first insert over-allocates (capacity/length split)
         self._X_buf: np.ndarray | None = None
         #: version stamp of the index state; bumped by every build and
-        #: dynamic update (read by the semantic cache and the residency
-        #: tracker)
+        #: dynamic update (read by the semantic cache)
         self._version: int = 0
         #: per-version derived state (prepared operands, trim tables,
         #: plans): a write patches the row-aligned parts in step with the
@@ -247,7 +246,6 @@ class RBCBase(Index):
         exact=True,
         range_queries=False,
         mutable=True,
-        process_safe=True,
         quantizable=True,
         rescorable=True,
         warmable=True,
@@ -324,9 +322,8 @@ class RBCBase(Index):
         return base if ctx is None else ctx.overriding(base)
 
     def _engine_active(self, ctx: ExecContext | None = None) -> bool:
-        """Prepared-operand kernels apply to vector databases only, and the
-        process backend owns its operand copies (no sharing to prepare).
-        The rule itself lives on :meth:`ExecContext.engine_active`."""
+        """Prepared-operand kernels apply to vector databases only.  The
+        rule itself lives on :meth:`ExecContext.engine_active`."""
         ctx = self._base_ctx() if ctx is None else ctx
         return ctx.engine_active(self.metric, self.X)
 

@@ -51,7 +51,6 @@ class BufferKDTree(Index):
         exact=True,
         range_queries=True,
         mutable=False,
-        process_safe=True,
         quantizable=False,
         rescorable=True,
         warmable=False,

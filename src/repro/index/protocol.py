@@ -6,8 +6,8 @@ mutability) that callers discovered through ``getattr`` probes.  This module
 replaces that with a declared contract:
 
 * :class:`Capabilities` — a frozen dataclass of feature flags a backend
-  advertises (exact vs approximate, range support, mutability,
-  process-backend safety, quantizer support, rescore/warm opt-in).
+  advertises (exact vs approximate, range support, mutability, quantizer
+  support, rescore/warm opt-in).
 * :class:`UnsupportedCapability` — the uniform error raised when a caller
   invokes an operation the backend does not declare (never a bare
   ``AttributeError``).
@@ -57,11 +57,6 @@ class Capabilities:
         ``range_query(Q, eps)`` is implemented.
     mutable:
         ``insert`` / ``delete`` are supported after ``build``.
-    process_safe:
-        The backend can run its query path under a process-pool
-        :class:`~repro.runtime.context.ExecContext` (its dispatch payloads
-        pickle cleanly / it degrades gracefully); serving layers use this
-        to decide residency and executor reuse.
     quantizable:
         The backend accepts a ``quantizer`` and can scan compressed
         operands through the metric engine.
@@ -79,7 +74,6 @@ class Capabilities:
     exact: bool = True
     range_queries: bool = False
     mutable: bool = False
-    process_safe: bool = True
     quantizable: bool = False
     rescorable: bool = False
     warmable: bool = False
@@ -198,7 +192,6 @@ def capabilities_for(index) -> Capabilities:
         exact=False,
         range_queries=callable(getattr(index, "range_query", None)),
         mutable=callable(getattr(index, "insert", None)),
-        process_safe=False,
         quantizable=False,
         rescorable=rescorable,
         warmable=callable(getattr(index, "warm", None)),

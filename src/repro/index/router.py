@@ -95,7 +95,6 @@ class Router(Index):
         exact=True,
         range_queries=True,
         mutable=False,
-        process_safe=True,
         quantizable=False,
         rescorable=True,
         warmable=True,
@@ -490,9 +489,6 @@ class Router(Index):
                 exact=backend_caps.exact,
                 range_queries=any(
                     capabilities_for(b).range_queries for b in self._backends.values()
-                ),
-                process_safe=all(
-                    capabilities_for(b).process_safe for b in self._backends.values()
                 ),
                 rescorable=isinstance(self.metric, VectorMetric)
                 and isinstance(self.X, np.ndarray),

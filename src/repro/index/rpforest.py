@@ -55,7 +55,6 @@ class RPForest(Index):
         exact=False,
         range_queries=False,
         mutable=False,
-        process_safe=True,
         quantizable=False,
         rescorable=True,
         warmable=False,

@@ -32,6 +32,9 @@ This module removes all of that:
   compute path: candidate ids selected in float32 are re-scored with exact
   float64 distances and re-ranked, so the low-precision GEMM only has to
   get the *candidate set* right, not the final ordering.
+* :func:`rounding_bound` — the bound on one prepared-kernel value's
+  rounding error that certifies the float32 candidate sets of ``bf_knn``
+  and exact RBC search, and the survivor threshold of the latter.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ __all__ = [
     "prepare_operands",
     "rescore_pairs",
     "refine_topk",
+    "rounding_bound",
     "COMPUTE_DTYPES",
 ]
 
@@ -315,6 +319,26 @@ class OperandCache:
 
 #: the process-wide cache used by ``bf_knn``/``bf_range`` and the indexes
 operand_cache = OperandCache()
+
+
+def rounding_bound(metric, Qp: Prepared, rows, x_sq_max: float, g):
+    """Bound on ``|computed - exact|`` of one prepared-kernel value for the
+    query rows ``rows``, in the kernel's ranking domain.
+
+    ``4 (d + 2) eps`` is twice the dot-product bound ``2 gamma_{d+2}``
+    (``gamma_n = n u / (1 - n u)``, ``u = eps / 2``); the margin covers
+    rounding the operands to the compute dtype.  Gram-trick metrics
+    (``squared_ok``) carry an absolute error scaled by the norms, the
+    others a relative one at distance scale ``g`` (plus the square-root
+    loss of ``arccos`` near 0 for the angular metric).
+    """
+    rel = 4.0 * (Qp.data.shape[1] + 2) * float(np.finfo(Qp.data.dtype).eps)
+    if metric.squared_ok:
+        return rel * (Qp.sqnorms[rows].astype(np.float64) + x_sq_max)
+    err = rel * g
+    if metric.prepared_kernel == "angular":
+        err = err + np.pi * np.sqrt(rel)
+    return err
 
 
 def prepare_operands(metric, X, dtype: str = "float64", *, version: int = 0):

@@ -4,15 +4,14 @@ The post-hoc observability of :mod:`repro.runtime` (RunReports summarize a
 run after it ends) gets a *live* counterpart here:
 
 * :mod:`repro.obs.tracing` — :class:`Span`/:class:`Tracer` timelines with
-  trace/span/parent identity that crosses the process boundary (span
-  contexts ride pickled task payloads; worker spans are re-parented on
+  trace/span/parent identity that crosses worker threads and distributed
+  nodes (a node's spans are re-parented under the coordinator's on
   return) and export as Chrome ``trace_events`` JSON;
 * :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry` of
   named counters/gauges/histograms with label support, per-thread shards
   on the write path, Prometheus text exposition, and JSONL snapshots;
 * :mod:`repro.obs.collectors` — pull-gauges over the instruments the
-  package already has (operand cache, executor pool, operand store,
-  packed-list slack);
+  package already has (operand cache, executor pool, packed-list slack);
 * :mod:`repro.obs.slo` — a rolling-window :class:`SLOMonitor` tracking
   latency percentiles and error-budget burn against the batcher's
   latency budget, with breach callbacks the batcher consumes;

@@ -1,8 +1,8 @@
 """Pull-style collectors: bridge existing instruments into the registry.
 
 The package already measures its hot seams — the operand cache counts
-preparations vs hits, the executor pool counts pools created, the operand
-store counts registrations, packed list storage knows its slack.  None of
+preparations vs hits, the executor pool counts pools created, packed list
+storage knows its slack.  None of
 that should be *pushed* into the registry on the hot path; instead these
 collectors read the existing instruments at scrape time (they run inside
 :meth:`~repro.obs.metrics.MetricsRegistry.expose` / ``snapshot``), so the
@@ -33,7 +33,7 @@ def _collect_process_seams(reg: MetricsRegistry) -> None:
     # imported lazily: obs sits below everything else in the layering, so
     # the modules being observed must not be imported at obs import time
     from ..metrics.engine import operand_cache
-    from ..parallel.pool import executor_pool, operand_store
+    from ..parallel.pool import executor_pool
 
     stats = operand_cache.stats.snapshot()
     reg.gauge(
@@ -62,19 +62,6 @@ def _collect_process_seams(reg: MetricsRegistry) -> None:
         "repro_executor_pool_created_total",
         "executors constructed over the registry lifetime",
     ).set(executor_pool.n_created)
-
-    reg.gauge(
-        "repro_operand_store_entries",
-        "datasets resident in the shared-memory operand store",
-    ).set(len(operand_store))
-    reg.gauge(
-        "repro_operand_store_registered_total",
-        "shared-memory operand registrations (each is one copy)",
-    ).set(operand_store.n_registered)
-    reg.gauge(
-        "repro_operand_store_hits_total",
-        "process-backend calls served by an existing registration",
-    ).set(operand_store.n_hits)
 
 
 def install_standard_collectors(reg: MetricsRegistry | None = None) -> MetricsRegistry:

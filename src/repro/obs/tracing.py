@@ -1,27 +1,29 @@
-"""Span tracing: per-run timelines that survive the process boundary.
+"""Span tracing: per-run timelines across threads and simulated nodes.
 
 The paper's accounting story — RBC wins because ``BF(Q, X[L])`` does
 provably less work and schedules like dense linear algebra (§3) — needs a
 *live* counterpart to the post-hoc :class:`~repro.runtime.report.RunReport`:
 something that attributes wall time to individual queries, batches, kernel
-calls, and worker processes while a serve run is in flight.
+calls, worker threads and cluster nodes while a serve run is in flight.
 
 A :class:`Span` is one timed, attributed interval with OpenTelemetry-style
 identity: a ``trace_id`` naming the causal tree it belongs to, its own
 ``span_id``, and a ``parent_id``.  Ids are strings namespaced by pid
-(``s<pid>-<n>``), so spans created in different worker processes can never
-collide when they are merged into one timeline.
+(``s<pid>-<n>``), so spans minted by separate tracers can never collide
+when they are merged into one timeline.
 
 The :class:`Tracer` is the collection point.  ``tracer.span("phase")`` is
 a context manager that opens a child of the calling thread's current span
 (each thread has its own stack, so concurrent batches nest correctly);
 :meth:`Tracer.context` captures the current position as a picklable
-:class:`SpanContext` that rides task payloads into worker processes, where
-a child :class:`Tracer` (``Tracer(root=span_ctx)``) parents everything it
-records under the submitting span.  The finished worker spans return as
-plain dicts in the result payload and :meth:`Tracer.adopt` re-parents them
-into the submitting tracer — so one Chrome-trace export shows coordinator
-and worker activity on a single timeline, in the worker's own pid lane.
+:class:`SpanContext`; worker threads open their spans under it with
+:meth:`Tracer.span_under`.  A node of
+:class:`~repro.distributed.engine.DistributedRBC` records into its own
+child :class:`Tracer` (``Tracer(root=span_ctx)``), which parents everything
+under the coordinator's span; the node's finished spans come back as plain
+dicts and :meth:`Tracer.adopt` re-parents them into the coordinator's
+tracer — so one Chrome-trace export shows coordinator and node activity on
+a single timeline.
 
 Export is the Chrome ``trace_events`` JSON format (:meth:`chrome_trace`),
 loadable in ``chrome://tracing`` / Perfetto: one complete (``"ph": "X"``)
@@ -51,8 +53,8 @@ __all__ = [
     "chrome_trace",
 ]
 
-#: per-process id source; ids are namespaced by pid so worker-minted ids
-#: stay unique after adoption into the parent's tracer
+#: per-process id source; ids are namespaced by pid so adopted spans keep
+#: unique ids
 _ids = itertools.count(1)
 
 
@@ -62,10 +64,10 @@ def _new_id(prefix: str) -> str:
 
 @dataclass(frozen=True)
 class SpanContext:
-    """The picklable identity of a span: what crosses process boundaries.
+    """The picklable identity of a span: what crosses tracer boundaries.
 
-    Workers receive one of these in their task payload and parent their
-    own spans under it; nothing else about the tracer travels.
+    A child tracer (a distributed node's) receives one of these and parents
+    its own spans under it; nothing else about the tracer travels.
     """
 
     trace_id: str

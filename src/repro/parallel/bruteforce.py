@@ -21,31 +21,26 @@ passed as ``ctx=``.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 
 from ..metrics import get_metric
 from ..metrics.base import Metric, VectorMetric
-from ..metrics.engine import Prepared, check_dtype, prepare_operands, refine_topk
-from ..obs.tracing import NULL_TRACER, SpanContext, Tracer
-from ..runtime.context import ExecContext
-from ..simulator.trace import NULL_RECORDER, Op, TraceRecorder
-from .blocking import choose_tile_cols, row_chunks
-from .pool import (
-    SerialExecutor,
-    SharedArray,
-    operand_store,
+from ..metrics.engine import (
+    check_dtype,
+    prepare_operands,
+    refine_topk,
+    rounding_bound,
 )
+from ..runtime.context import ExecContext
+from ..simulator.trace import Op, TraceRecorder
+from .blocking import choose_tile_cols, row_chunks
+from .pool import SerialExecutor
 from .reduce import EMPTY_IDX, merge_topk, topk_of_block, tree_reduce
 from .scheduler import plan_row_chunks
 
-__all__ = [
-    "bf_knn",
-    "bf_nn",
-    "bf_range",
-    "register_resident_operands",
-]
+__all__ = ["bf_knn", "bf_nn", "bf_range"]
 
 #: queries per row chunk; chunks are the unit mapped over the executor
 _DEFAULT_ROW_CHUNK = 512
@@ -239,27 +234,21 @@ def bf_knn(
         ``"pq"`` — with a certified float64 re-rank, so the answer ids
         match the uncompressed search exactly (see
         :mod:`repro.metrics.quantize`).  Vector metrics with a
-        ``gram``/``angular`` kernel only; in-process backends only (the
-        process executor raises — workers own plain float copies).
+        ``gram``/``angular`` kernel only.
     ctx:
         the run's :class:`~repro.runtime.context.ExecContext`:
 
         * ``executor`` / ``n_workers`` — row chunks are mapped over it.
-          The process backend runs in worker processes (shared-memory
-          operands for vector metrics, pickled chunks otherwise), so it
-          requires a metric the workers can rebuild from the registry by
-          name — a name string or a default-constructed registry
-          instance; customized instances raise ``TypeError``.  Distance
-          evaluations then happen in the workers and are credited to the
-          caller's counter as one bulk update (``n_evals`` stays exact,
-          ``n_calls`` becomes a single call), and tracing is unsupported
-          (``ValueError`` if ``recorder`` is enabled).
         * ``recorder`` / ``tracer`` — trace recorder for the machine
           models and the span tracer.
         * ``dtype`` — compute dtype for vector metrics: ``"float64"``
           (default, exact) or ``"float32"`` (half the GEMM traffic; with
           ``refine=True`` the float32-selected candidates are re-scored in
           float64, so only the candidate *set* rides on low precision).
+          The set is certified: a row whose over-fetched float32 frontier
+          is not beyond its k-th value plus twice the kernel's
+          :func:`~repro.metrics.engine.rounding_bound` is re-scanned in
+          float64.
         * ``row_chunk`` / ``tile_cols`` — queries per mapped chunk and
           database columns per tile (auto-sized to the pool and to ~8 MB
           of operands when unset).
@@ -273,7 +262,6 @@ def bf_knn(
     ctx = ExecContext() if ctx is None else ctx
     recorder = ctx.recorder
     dtype = ctx.dtype_or_default
-    metric_spec = metric
     metric = get_metric(metric)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -307,11 +295,6 @@ def bf_knn(
         )
 
         check_quantizer(quantizer)
-        if ctx.uses_processes:
-            raise ValueError(
-                "quantized bf_knn runs in-process (worker processes own "
-                "plain float copies); use executor='threads' or 'serial'"
-            )
         if not isinstance(metric, VectorMetric) or not supports_quantization(
             metric
         ):
@@ -338,36 +321,6 @@ def bf_knn(
             pad = k - dist.shape[1]  # uncompressed path does
             dist = np.pad(dist, ((0, 0), (0, pad)), constant_values=np.inf)
             idx = np.pad(idx, ((0, 0), (0, pad)), constant_values=EMPTY_IDX)
-        if ids is not None:
-            mask = idx >= 0
-            idx[mask] = ids[idx[mask]]
-        return dist, idx
-
-    if ctx.uses_processes:
-        # Worker processes cannot unpickle the chunk closure below, so the
-        # string spec is routed to module-level workers that rebuild the
-        # metric by registry name.
-        name = metric_spec if isinstance(metric_spec, str) else _registry_name(metric)
-        if recorder.enabled:
-            raise ValueError(
-                "executor='processes' cannot record traces (the ops happen "
-                "in worker processes); use 'threads' or 'serial' when tracing"
-            )
-        if dtype != "float64" or x_prepared is not None:
-            raise ValueError(
-                "executor='processes' supports neither float32 compute nor "
-                "prepared operands (workers own their copies); use "
-                "'threads' or 'serial'"
-            )
-        with ctx.span("bf:knn", backend="processes", m=m, n=n, k=k):
-            # a gathered ids-subset is a fresh array per call: registering
-            # it would churn the resident store for zero reuse
-            dist, idx = _bf_knn_processes(
-                metric, name, Qb, X, k, ctx, resident=ids is None
-            )
-        # workers evaluate every (q, x) pair; credit the caller's counter in
-        # one bulk update so work accounting survives the process boundary
-        metric.counter.add(m * n)
         if ids is not None:
             mask = idx >= 0
             idx[mask] = ids[idx[mask]]
@@ -455,10 +408,26 @@ def bf_knn(
             exec_.map(run_into, chunks)
 
     if isinstance(metric, VectorMetric):
-        if squared:
-            dist = metric.from_squared(dist)
         if fp32 and refine:
+            if kk < n:
+                # a true top-k value is at most the k-th plus twice the
+                # rounding bound; a row whose frontier does not clear that
+                # may have left a neighbor unfetched: re-scan it in float64
+                sq = Xp.sqnorms
+                x_sq_max = 0.0 if sq is None else float(sq.max())
+                front = dist[:, -1].astype(np.float64)
+                over = 2.0 * rounding_bound(
+                    metric, Qp_full, slice(None), x_sq_max, front
+                )
+                redo = np.flatnonzero(~(front > dist[:, k - 1] + over))
+                if redo.size:
+                    idx[redo] = bf_knn(
+                        metric.take(Qb, redo), X, metric, kk,
+                        ctx=replace(ctx, dtype="float64"),
+                    )[1]
             dist, idx = refine_topk(metric, Qb, X, idx, k)
+        elif squared:
+            dist = metric.from_squared(dist)
     if ids is not None:
         mask = idx >= 0
         idx[mask] = ids[idx[mask]]
@@ -585,237 +554,3 @@ def bf_range(
             i = ids[i]
         out.append((d, i))
     return out
-
-
-# --------------------------------------------------------------- processes
-def _state_equal(a, b) -> bool:
-    if a is b:
-        return True
-    try:
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            return bool(np.array_equal(a, b))
-        return bool(a == b)
-    except Exception:
-        return False
-
-
-def _registry_name(metric: Metric) -> str:
-    """Name under which worker processes can rebuild ``metric``.
-
-    Only default-constructed registry metrics qualify: the workers rebuild
-    the metric from the registry by name, so a metric that is not registered
-    (``GraphMetric``) or carries customized state (``Minkowski(p=3)``,
-    ``Mahalanobis(VI)``) would silently compute different distances.
-    """
-    name = getattr(metric, "name", "")
-    try:
-        fresh = get_metric(name)
-    except (ValueError, TypeError):
-        fresh = None
-    if fresh is None or type(fresh) is not type(metric):
-        raise TypeError(
-            f"executor='processes' requires a metric that worker processes "
-            f"can rebuild from the registry by name; "
-            f"{type(metric).__name__} is not a registry metric — pass the "
-            f"metric's registry name, or use executor='threads'"
-        )
-    mine = {k: v for k, v in vars(metric).items() if k != "counter"}
-    theirs = {k: v for k, v in vars(fresh).items() if k != "counter"}
-    if mine.keys() != theirs.keys() or not all(
-        _state_equal(mine[k], theirs[k]) for k in mine
-    ):
-        raise TypeError(
-            f"executor='processes' cannot ship customized "
-            f"{type(metric).__name__} state to worker processes; pass the "
-            f"registry name for a default-constructed metric, or use "
-            f"executor='threads'"
-        )
-    return name
-
-
-def _worker_tracer(span_ctx: SpanContext | None) -> Tracer:
-    """A tracer for one worker task: children of the submitting span.
-
-    The submitting span's identity rides the pickled task payload as a
-    :class:`~repro.obs.tracing.SpanContext`; the worker's spans are minted
-    in its own pid namespace, parented under the submitter, and returned
-    (as dicts) with the task result for the parent tracer to adopt.
-    """
-    return Tracer(root=span_ctx) if span_ctx is not None else NULL_TRACER
-
-
-def _proc_chunk_knn_pickled(args) -> tuple[int, np.ndarray, np.ndarray, list]:
-    """Process-pool worker for non-vector metrics: operands travel pickled."""
-    lo, Qc, X, metric_name, k, tile_cols, span_ctx = args
-    metric = get_metric(metric_name)
-    wtracer = _worker_tracer(span_ctx)
-    with wtracer.span("bf:chunk", lo=lo, rows=metric.length(Qc)):
-        dist, idx = _knn_one_chunk(
-            metric, Qc, X, k, tile_cols, NULL_RECORDER, metric.dim(X), "bf"
-        )
-    return lo, dist, idx, wtracer.export() if wtracer.enabled else []
-
-
-def _proc_chunk_knn(args) -> tuple[int, np.ndarray, np.ndarray, list]:
-    """Process-pool worker: top-k for one row chunk from shared memory."""
-    qh, xh, lo, hi, metric_name, k, tile_cols, span_ctx = args
-    Q = qh.open()
-    X = xh.open()
-    metric = get_metric(metric_name)
-    wtracer = _worker_tracer(span_ctx)
-    with wtracer.span("bf:chunk", lo=lo, hi=hi):
-        dist, idx = _knn_one_chunk(
-            metric, Q[lo:hi], X, k, tile_cols, NULL_RECORDER, X.shape[1], "bf"
-        )
-    qh.close()
-    xh.close()
-    return lo, dist, idx, wtracer.export() if wtracer.enabled else []
-
-
-def _as_shared_f64(A) -> np.ndarray:
-    """The canonical shared-memory operand form (and store-identity key)."""
-    return np.ascontiguousarray(np.atleast_2d(np.asarray(A, dtype=np.float64)))
-
-
-def register_resident_operands(metric, X: np.ndarray, *, version: int = 0) -> dict:
-    """Register ``X``'s prepared float64 operands in the process-wide
-    :data:`~repro.parallel.pool.operand_store`.
-
-    One shared-memory copy of the metric-prepared data plus its hoisted
-    per-row terms (norms) per ``(metric, array, version)`` — repeated
-    process-backend calls against the same database then ship only the
-    returned picklable handles, and resident workers keep their
-    attachments.  Serving front-ends call this once per index epoch (and
-    ``operand_store.release_for(X)`` on teardown).
-    """
-    metric = get_metric(metric)
-
-    def build(arr):
-        p = metric.prepare(arr, dtype="float64")
-        return {"data": p.data, "sqnorms": p.sqnorms, "norms": p.norms}
-
-    return operand_store.get(metric.cache_token(), X, version=version, build=build)
-
-
-#: worker-side attachment cache: data-segment name -> (handles, Prepared).
-#: Resident workers serve many calls; re-attaching (and rebuilding the
-#: Prepared views) per task would throw away exactly the residency the
-#: store buys.  Bounded FIFO; eviction closes the attachments.
-_ATTACH_MAX = 8
-_attach_cache: OrderedDict = OrderedDict()
-
-
-def _attach_prepared(handles: dict) -> Prepared:
-    key = handles["data"].name
-    ent = _attach_cache.get(key)
-    if ent is None:
-        opened = {name: h.open() for name, h in handles.items()}
-        ent = (
-            handles,
-            Prepared(
-                opened["data"], opened.get("sqnorms"), opened.get("norms")
-            ),
-        )
-        _attach_cache[key] = ent
-        while len(_attach_cache) > _ATTACH_MAX:
-            old, _ = _attach_cache.popitem(last=False)
-            for h in old.values():
-                h.close()
-    else:
-        _attach_cache.move_to_end(key)
-    return ent[1]
-
-
-def _proc_chunk_knn_resident(args) -> tuple[int, np.ndarray, np.ndarray]:
-    """Process-pool worker over store-resident prepared operands.
-
-    The database arrives as operand-store handles: data and norms are
-    attached once per worker (cached across tasks), so nothing about the
-    database is copied, pickled, or recomputed per call.  ``squared_ok``
-    metrics select in the squared domain with the root deferred to the
-    ``(chunk, k)`` result, exactly like the in-process engine path.
-    """
-    qh, handles, lo, hi, metric_name, k, tile_cols, span_ctx = args
-    metric = get_metric(metric_name)
-    wtracer = _worker_tracer(span_ctx)
-    with wtracer.span("bf:chunk", lo=lo, hi=hi, resident=True):
-        Xp = _attach_prepared(handles)
-        Q = qh.open()
-        Qp = metric.prepare(Q[lo:hi], dtype=str(Xp.dtype))
-        squared = metric.squared_ok
-        dist, idx = _knn_one_chunk_prepared(
-            metric, Qp, Xp, k, tile_cols, NULL_RECORDER,
-            Xp.data.shape[1], "bf", squared,
-        )
-        if squared:
-            dist = metric.from_squared(dist)
-    qh.close()
-    return lo, dist, idx, wtracer.export() if wtracer.enabled else []
-
-
-def _bf_knn_processes(
-    metric: Metric,
-    name: str,
-    Qb,
-    X,
-    k: int,
-    ctx: ExecContext,
-    *,
-    resident: bool,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The process branch of :func:`bf_knn`: row chunks run in worker
-    processes that rebuild ``metric`` from the registry by ``name``.
-
-    Vector metrics travel through shared memory.  With ``resident=True``
-    the database's prepared operands live in the
-    :data:`~repro.parallel.pool.operand_store`: the shared-memory copy and
-    the norm hoist happen once per ``(metric, database)``, task payloads
-    carry only handles, and resident workers keep their attachments across
-    calls — so a query stream pays O(query) per call, not O(database).
-    ``resident=False`` uses transient per-call segments (one-shot gathered
-    subsets).  Other metrics ship pickled chunks.
-
-    The pool is ``ctx.executor`` (an open ``ProcessExecutor`` stays open)
-    or the warm registry pool for ``ctx.n_workers``; worker spans are
-    adopted into ``ctx.tracer``.
-    """
-    # the submitting span's ids ride the pickled payloads; worker spans
-    # come back in the results and are adopted into the caller's timeline
-    span_ctx = ctx.tracer.context()
-    chunks = row_chunks(metric.length(Qb), ctx.row_chunk or _DEFAULT_ROW_CHUNK)
-    tile_cols = ctx.tile_cols or choose_tile_cols(metric.length(X), metric.dim(X))
-    segments = []
-    try:
-        if isinstance(metric, VectorMetric):
-            X = _as_shared_f64(X)
-            qh = SharedArray.from_array(_as_shared_f64(Qb))
-            segments.append(qh)
-            if resident:
-                xs = register_resident_operands(metric, X)
-                worker = _proc_chunk_knn_resident
-            else:
-                xs = SharedArray.from_array(X)
-                segments.append(xs)
-                worker = _proc_chunk_knn
-            tasks = [
-                (qh, xs, lo, hi, name, k, tile_cols, span_ctx)
-                for lo, hi in chunks
-            ]
-        else:
-            worker = _proc_chunk_knn_pickled
-            tasks = [
-                (lo, metric.take(Qb, np.arange(lo, hi)), X, name, k,
-                 tile_cols, span_ctx)
-                for lo, hi in chunks
-            ]
-        with ctx.executor_scope() as exec_:
-            parts = exec_.map(worker, tasks)
-    finally:
-        for seg in segments:
-            seg.unlink()
-    for p in parts:
-        ctx.tracer.adopt(p[3])
-    parts.sort(key=lambda t: t[0])
-    dist = np.concatenate([p[1] for p in parts], axis=0)
-    idx = np.concatenate([p[2] for p in parts], axis=0)
-    return dist, idx

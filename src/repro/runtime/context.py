@@ -5,19 +5,18 @@ The paper's argument is that RBC search is *one* parallel primitive —
 state of that primitive (which executor maps the tiles, which recorder
 collects the operation trace, what compute dtype/engine policy the kernels
 use, how work is chunked) used to be hand-threaded as ad-hoc kwargs
-through every layer, with the executor-ownership dance and the
-"process pool degrades BLAS-bound stages to inline" decision copied
-between modules.  :class:`ExecContext` bundles all of it in one object:
+through every layer, with the executor-ownership dance copied between
+modules.  :class:`ExecContext` bundles all of it in one object:
 
 * **executor scope** — :meth:`ExecContext.executor_scope` resolves the
-  executor spec and closes the pool iff this run created it, in one
-  ``with`` block (see :func:`repro.parallel.pool.executor_scope`);
+  executor spec (``None``/``"serial"``, ``"threads"`` or an instance,
+  checked when the context is built) for one ``with`` block (see
+  :func:`repro.parallel.pool.executor_scope`);
 * **recorder** — the :class:`~repro.simulator.trace.TraceRecorder` the
   run records into (:class:`TimingRecorder` additionally collects
   per-phase wall time);
-* **engine/dtype policy** — compute dtype, the prepared-operand engine
-  switch, and the rule that the process backend disables operand sharing
-  (workers own their copies) and runs GIL-releasing batched stages inline;
+* **engine/dtype policy** — compute dtype and the prepared-operand engine
+  switch;
 * **chunking policy** — ``row_chunk`` / ``tile_cols`` overrides for the
   blocked kernels;
 * **observation windows** — :meth:`ExecContext.observe` snapshots the
@@ -129,9 +128,9 @@ class ExecContext:
     Parameters
     ----------
     executor:
-        ``None`` (inherit / serial), ``"serial"``, ``"threads"``,
-        ``"processes"``, or an :class:`~repro.parallel.pool.Executor`
-        instance (never closed by the run).
+        ``None`` (inherit / serial), ``"serial"``, ``"threads"``, or an
+        :class:`~repro.parallel.pool.Executor` instance (never closed by
+        the run); anything else raises ``ValueError``.
     n_workers:
         worker count for string specs.
     recorder:
@@ -166,6 +165,15 @@ class ExecContext:
             self.tracer = NULL_TRACER
         if self.dtype is not None:
             check_dtype(self.dtype)
+        if self.executor not in (None, "serial", "threads"):
+            from ..parallel.pool import Executor
+
+            if not isinstance(self.executor, Executor):
+                raise ValueError(
+                    f"unknown executor {self.executor!r}: use 'threads' for "
+                    f"parallel execution, 'serial' (or None), or an "
+                    f"Executor instance"
+                )
 
     # -------------------------------------------------------------- merging
     def overriding(self, base: "ExecContext") -> "ExecContext":
@@ -219,35 +227,11 @@ class ExecContext:
         return self.tracer.span(name, **attrs)
 
     # ------------------------------------------------------- executor scope
-    @property
-    def uses_processes(self) -> bool:
-        """True when the process backend runs the brute-force primitive.
-
-        The process pool changes two policies at once: operands cannot be
-        shared with workers (each owns its copies, so the prepared-operand
-        engine is off) and BLAS-bound batched stages run inline instead —
-        shipping whole-index state per chunk would cost more than the
-        GIL-releasing kernels save.
-        """
-        from ..parallel.pool import ProcessExecutor
-
-        return self.executor == "processes" or isinstance(
-            self.executor, ProcessExecutor
-        )
-
-    def executor_scope(self, *, inline_processes: bool = False):
-        """Scoped executor for this run (see :func:`~repro.parallel.pool.executor_scope`).
-
-        ``inline_processes=True`` applies the degrade rule above: when the
-        context's executor is the process backend, the stage runs on an
-        inline :class:`~repro.parallel.pool.SerialExecutor` instead.
-        """
+    def executor_scope(self):
+        """Scoped executor for this run (see :func:`~repro.parallel.pool.executor_scope`)."""
         from ..parallel.pool import executor_scope
 
-        spec = self.executor
-        if inline_processes and self.uses_processes:
-            spec = "serial"
-        return executor_scope(spec, self.n_workers)
+        return executor_scope(self.executor, self.n_workers)
 
     # -------------------------------------------------------- engine policy
     @property
@@ -260,10 +244,7 @@ class ExecContext:
 
     def engine_active(self, metric, X) -> bool:
         """Whether the prepared-operand engine applies to this run: vector
-        metrics over ndarray databases only, and never under the process
-        backend (no operand sharing across the process boundary)."""
-        if self.uses_processes:
-            return False
+        metrics over ndarray databases only."""
         return (
             self.engine_or_default
             and isinstance(metric, VectorMetric)

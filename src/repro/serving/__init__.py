@@ -1,4 +1,4 @@
-"""Streaming query serving: persistent executors, dataset residency,
+"""Streaming query serving: persistent executors, warm operands,
 adaptive micro-batching (see docs/serving.md).
 
 The paper benchmarks one big batch of queries; a deployed nearest-neighbor
@@ -21,7 +21,6 @@ measurable.
 
 from .batcher import BatchPolicy, QueryBatcher
 from .cache import CacheCounters, CachePolicy, ProximityCache
-from .residency import DatasetResidency
 from .scenarios import (
     SCENARIOS,
     ScenarioTrace,
@@ -37,7 +36,6 @@ __all__ = [
     "CacheCounters",
     "CachePolicy",
     "ProximityCache",
-    "DatasetResidency",
     "SCENARIOS",
     "ScenarioTrace",
     "make_scenario",

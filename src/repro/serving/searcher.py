@@ -1,11 +1,11 @@
-"""The streaming query front-end: residency + micro-batching + metrics.
+"""The streaming query front-end: warm operands + micro-batching + metrics.
 
 :class:`StreamingSearcher` turns an index's batch ``query()`` into a
 query *server*: arrivals are enqueued, the adaptive
 :class:`~repro.serving.batcher.QueryBatcher` groups them into
 latency-budgeted micro-batches, each batch runs one ``query()`` call on a
-registry-resident executor against residency-pinned operands, and answers
-fan back out per query.
+registry-resident executor against operands prepared by ``warm()``, and
+answers fan back out per query.
 
 **Determinism.**  Per-query and batched dispatch must return the *same
 answer* — a correctness property, not a best effort.  The candidate ids an
@@ -54,7 +54,6 @@ from ..runtime.context import ExecContext, TimingRecorder
 from ..runtime.report import LatencyStats, StreamReport, collect_report
 from .batcher import BatchPolicy, QueryBatcher
 from .cache import CachePolicy, ProximityCache
-from .residency import DatasetResidency
 
 __all__ = ["StreamingSearcher"]
 
@@ -128,8 +127,8 @@ class StreamingSearcher:
     parented under its oldest query, and the kernel/worker spans nest
     below that — one Chrome-trace timeline from arrival to answer.
 
-    Use as a context manager (or call :meth:`close`) so the residency
-    pins are released deterministically::
+    Use as a context manager (or call :meth:`close`); a closed searcher
+    refuses further work::
 
         with StreamingSearcher(index, k=3) as server:
             report = server.search_stream(Q, qps=2000.0)
@@ -286,11 +285,9 @@ class StreamingSearcher:
                 "repro_query_sojourn_seconds",
                 "arrival-to-answer latency of served queries",
             )
-        # residency: fill the in-process prepared caches up front, and pin
-        # shared-memory operands for the process backend
-        if capabilities_for(index).warmable and not self.ctx.uses_processes:
+        # fill the prepared-operand caches before the first query arrives
+        if capabilities_for(index).warmable:
             index.warm(self.ctx)
-        self.residency = DatasetResidency(index, self.ctx)
 
     @staticmethod
     def _can_rescore(index) -> bool:
@@ -302,11 +299,8 @@ class StreamingSearcher:
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
-        """Flush nothing, release the residency pins; idempotent."""
-        if self._closed:
-            return
+        """Mark the session closed; idempotent."""
         self._closed = True
-        self.residency.release()
 
     def __enter__(self) -> "StreamingSearcher":
         return self

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics import EditDistance, Euclidean, get_metric
+from repro.metrics import EditDistance, get_metric
 from repro.parallel import bf_knn, bf_nn, bf_range
 from repro.runtime import ExecContext
 from repro.simulator import TraceRecorder
@@ -49,95 +49,29 @@ def test_thread_executor_matches_serial(small_vectors):
     np.testing.assert_allclose(d1, d2)
 
 
-def test_process_backend_matches_serial(small_vectors):
-    X, Q = small_vectors
-    d1, _ = bf_knn(Q, X, k=4)
-    d2, _ = bf_knn(
-        Q, X, "euclidean", k=4,
-        ctx=ExecContext(executor="processes", n_workers=2, row_chunk=8),
-    )
-    np.testing.assert_allclose(d1, d2)
-
-
-def test_process_backend_rejects_metric_instance(small_vectors):
-    # a metric instance the workers cannot rebuild from the registry by
-    # name (here an unregistered subclass) is refused, not approximated
-    class Unregistered(Euclidean):
-        pass
-
-    X, Q = small_vectors
-    with pytest.raises(TypeError):
-        bf_knn(Q, X, Unregistered(), k=1, ctx=ExecContext(executor="processes"))
-
-
-def test_bf_knn_processes_executor_matches_serial(small_vectors):
-    # the regression this guards: executor="processes" used to crash with a
-    # pickle error on the chunk closure
-    X, Q = small_vectors
-    d1, i1 = bf_knn(Q, X, k=4)
-    d2, i2 = bf_knn(
-        Q, X, k=4, ctx=ExecContext(executor="processes", row_chunk=64)
-    )
-    np.testing.assert_allclose(d1, d2)
-    np.testing.assert_array_equal(i1, i2)
-
-
-def test_bf_knn_processes_counter_credit(small_vectors):
-    X, Q = small_vectors
-    m = get_metric("euclidean")
-    before = m.counter.n_evals
-    bf_knn(Q, X, m, k=2, ctx=ExecContext(executor="processes"))
-    assert m.counter.n_evals - before == Q.shape[0] * X.shape[0]
-
-
-def test_bf_knn_processes_string_metric():
-    # non-vector metrics can't use shared memory; they go through the
-    # pickled-chunk worker, rebuilt by registry name in each worker
+def test_bf_knn_threads_string_metric():
+    # non-vector metrics take the generic (non-engine) chunk path
     S = ["cat", "cart", "dog", "dig", "cot", "cut", "coat", "dart"]
     Q = ["cut", "dug"]
     d1, i1 = bf_knn(Q, S, "edit", k=3)
     d2, i2 = bf_knn(
-        Q, S, "edit", k=3, ctx=ExecContext(executor="processes", row_chunk=1)
+        Q, S, "edit", k=3,
+        ctx=ExecContext(executor="threads", n_workers=2, row_chunk=1),
     )
     np.testing.assert_array_equal(d1, d2)
+    np.testing.assert_array_equal(i1, i2)
 
 
-def test_bf_knn_processes_default_instance_routed(small_vectors):
-    # a pristine registry-metric instance is equivalent to its name and is
-    # accepted; only customized instances are rejected
-    X, Q = small_vectors
-    d1, _ = bf_knn(Q, X, k=2)
-    d2, _ = bf_knn(
-        Q, X, Euclidean(), k=2, ctx=ExecContext(executor="processes")
-    )
-    np.testing.assert_allclose(d1, d2)
-
-
-def test_bf_knn_processes_custom_instance_raises(small_vectors):
-    from repro.metrics import Minkowski
-
-    X, Q = small_vectors
-    with pytest.raises(TypeError, match="registry"):
-        bf_knn(
-            Q, X, Minkowski(p=4.0), k=2, ctx=ExecContext(executor="processes")
-        )
-
-
-def test_bf_knn_processes_tracing_raises(small_vectors):
-    X, Q = small_vectors
-    with pytest.raises(ValueError, match="trace"):
-        bf_knn(
-            Q, X, k=2,
-            ctx=ExecContext(executor="processes", recorder=TraceRecorder()),
-        )
-
-
-def test_bf_knn_processes_ids_restriction(small_vectors, rng):
+def test_bf_knn_threads_ids_restriction(small_vectors, rng):
     X, Q = small_vectors
     L = rng.choice(X.shape[0], size=31, replace=False)
     d1, i1 = bf_knn(Q, X, k=3, ids=L)
-    d2, i2 = bf_knn(Q, X, k=3, ids=L, ctx=ExecContext(executor="processes"))
+    d2, i2 = bf_knn(
+        Q, X, k=3, ids=L,
+        ctx=ExecContext(executor="threads", n_workers=2, row_chunk=4),
+    )
     np.testing.assert_allclose(d1, d2)
+    np.testing.assert_array_equal(i1, i2)
     assert set(i2.ravel()) <= set(L.tolist())
 
 

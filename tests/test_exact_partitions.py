@@ -14,8 +14,10 @@ import pytest
 from repro import (
     BatchPolicy,
     ExactRBC,
+    ExecContext,
     ShardedStreamingSearcher,
     StreamingSearcher,
+    bf_knn,
 )
 from repro.distributed import ClusterSpec, DistributedRBC
 from repro.parallel.reduce import EMPTY_IDX, merge_topk
@@ -108,6 +110,12 @@ def test_float32_far_from_origin_is_exact_after_refinement(seed):
     index = ExactRBC(seed=0, dtype="float32").build(X)
     dist, idx = index.query(Q, k=5)
     assert_matches_oracle(Q, X, dist, idx, 5, label=f"float32 seed {seed}")
+    for executor in ("serial", "threads"):
+        ctx = ExecContext(dtype="float32", executor=executor, n_workers=2)
+        dist, idx = bf_knn(Q, X, k=5, ctx=ctx)
+        assert_matches_oracle(
+            Q, X, dist, idx, 5, label=f"bf_knn float32 {executor} seed {seed}"
+        )
 
 
 # ------------------------------------------------------- hostile inputs

@@ -1,12 +1,9 @@
-"""Executors and shared-memory arrays."""
+"""Executors and the resident thread-pool registry."""
 
-import numpy as np
 import pytest
 
 from repro.parallel import (
-    ProcessExecutor,
     SerialExecutor,
-    SharedArray,
     ThreadExecutor,
     default_workers,
     get_executor,
@@ -29,11 +26,6 @@ def test_thread_map_order():
         assert ex.n_workers == 3
 
 
-def test_process_map_order():
-    with ProcessExecutor(2) as ex:
-        assert ex.map(_square, range(8)) == [x * x for x in range(8)]
-
-
 def test_default_workers_positive():
     assert default_workers() >= 1
 
@@ -50,58 +42,11 @@ def test_get_executor_specs():
     assert get_executor(inst) is inst
     with pytest.raises(ValueError):
         get_executor("gpu")
-
-
-def test_shared_array_roundtrip(rng):
-    arr = rng.normal(size=(13, 4))
-    handle = SharedArray.from_array(arr)
-    try:
-        view = handle.open()
-        np.testing.assert_array_equal(view, arr)
-    finally:
-        handle.unlink()
-
-
-def test_shared_array_pickles_without_buffer(rng):
-    import pickle
-
-    arr = rng.normal(size=(3, 3))
-    handle = SharedArray.from_array(arr)
-    try:
-        clone = pickle.loads(pickle.dumps(handle))
-        assert clone.name == handle.name
-        np.testing.assert_array_equal(clone.open(), arr)
-        clone.close()
-    finally:
-        handle.unlink()
-
-
-def _read_shared(args):
-    handle, row = args
-    view = handle.open()
-    out = float(view[row].sum())
-    handle.close()
-    return out
-
-
-def test_shared_array_visible_across_processes(rng):
-    arr = rng.normal(size=(4, 8))
-    handle = SharedArray.from_array(arr)
-    try:
-        with ProcessExecutor(2) as ex:
-            sums = ex.map(_read_shared, [(handle, r) for r in range(4)])
-        np.testing.assert_allclose(sums, arr.sum(axis=1))
-    finally:
-        handle.unlink()
+    with pytest.raises(ValueError):
+        get_executor("processes")
 
 
 # ------------------------------------------------- executor registry residency
-
-
-def _getpid(_):
-    import os
-
-    return os.getpid()
 
 
 def test_executor_pool_reuses_and_recreates():
@@ -146,86 +91,3 @@ def test_resident_pool_close_is_noop():
         assert ex.map(_square, [5]) == [25]
     finally:
         pool.shutdown()
-
-
-def test_bf_knn_process_workers_persist_across_calls(rng):
-    """Back-to-back process-backend calls reuse the same worker PIDs."""
-    from repro.parallel import bf_knn, executor_pool
-    from repro.runtime import ExecContext
-
-    X = rng.normal(size=(300, 8))
-    Q = rng.normal(size=(16, 8))
-    ctx = ExecContext(executor="processes", n_workers=2)
-    resident = executor_pool.get("processes", 2)
-    assert set(resident.map(_getpid, range(8)))  # force worker spawn
-    pids_before = set(resident._pool._processes)
-    created = executor_pool.n_created
-
-    d1, i1 = bf_knn(Q, X, k=2, ctx=ctx)
-    d2, i2 = bf_knn(Q, X, k=2, ctx=ctx)
-
-    assert executor_pool.n_created == created  # both calls reused the pool
-    assert executor_pool.get("processes", 2) is resident
-    # the very same worker processes served both calls: none were
-    # respawned, and an idle resident worker means none were added
-    assert set(resident._pool._processes) == pids_before
-    np.testing.assert_array_equal(i1, i2)
-    np.testing.assert_array_equal(d1, d2)
-
-
-# ------------------------------------------------------ resident operand store
-
-
-def test_operand_store_registers_once_and_releases(rng):
-    from repro.parallel import operand_store, register_resident_operands
-
-    X = np.ascontiguousarray(rng.normal(size=(60, 5)))
-    h1 = register_resident_operands("euclidean", X)
-    registered = operand_store.n_registered
-    h2 = register_resident_operands("euclidean", X)
-    assert h2 is h1  # second call is a pure hit
-    assert operand_store.n_registered == registered
-    names = operand_store.segments_for(X)
-    assert len(names) == len(h1)
-    assert operand_store.release_for(X) == 1
-    assert operand_store.segments_for(X) == []
-    from multiprocessing import shared_memory
-
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-
-def test_operand_store_version_bump_reregisters(rng):
-    from repro.parallel import operand_store, register_resident_operands
-
-    X = np.ascontiguousarray(rng.normal(size=(40, 4)))
-    register_resident_operands("euclidean", X, version=0)
-    old_names = operand_store.segments_for(X)
-    register_resident_operands("euclidean", X, version=1)
-    new_names = operand_store.segments_for(X)
-    assert set(old_names).isdisjoint(new_names)
-    from multiprocessing import shared_memory
-
-    for name in old_names:  # the stale epoch's segments were unlinked
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-    operand_store.release_for(X)
-
-
-def test_operand_store_unlinks_when_dataset_dies(rng):
-    import gc
-
-    from repro.parallel import operand_store, register_resident_operands
-
-    X = np.ascontiguousarray(rng.normal(size=(30, 3)))
-    register_resident_operands("euclidean", X)
-    names = operand_store.segments_for(X)
-    assert names
-    del X
-    gc.collect()
-    from multiprocessing import shared_memory
-
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)

@@ -301,14 +301,6 @@ def test_bf_knn_quantizer_operand_cache_is_stable(rng):
     assert operand_cache.stats.n_hits == hits0 + 1  # keyed on X itself
 
 
-def test_bf_knn_quantizer_rejects_processes(small_vectors):
-    X, Q = small_vectors
-    with pytest.raises(ValueError, match="in-process"):
-        bf_knn(
-            Q, X, k=3, quantizer="int8", ctx=ExecContext(executor="processes")
-        )
-
-
 def test_bf_knn_quantizer_rejects_unquantizable(small_vectors):
     X, Q = small_vectors
     with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from repro.index import available_indexes, index_class
 from repro.parallel import bf_knn, bf_nn, bf_range
 from repro.parallel.pool import (
     Executor,
-    SerialExecutor,
     ThreadExecutor,
     executor_scope,
 )
@@ -61,12 +60,6 @@ def test_executor_scope_pool_survives_error():
     assert captured[0].map(lambda x: x, [1]) == [1]
 
 
-def test_ctx_executor_scope_inline_processes_degrade():
-    ctx = ExecContext(executor="processes", n_workers=2)
-    with ctx.executor_scope(inline_processes=True) as exec_:
-        assert isinstance(exec_, SerialExecutor)
-
-
 def test_ctx_executor_scope_serial_default():
     with ExecContext().executor_scope() as exec_:
         assert isinstance(exec_, Executor)
@@ -101,20 +94,22 @@ def test_invalid_dtype_rejected():
         ExecContext(dtype="float16")
 
 
-def test_uses_processes():
-    assert ExecContext(executor="processes").uses_processes
-    assert not ExecContext(executor="threads").uses_processes
-    assert not ExecContext().uses_processes
+@pytest.mark.parametrize("spec", ["processes", "gpu", 2])
+def test_invalid_executor_rejected_at_construction(spec):
+    # a bad spec fails where it is written, not when a stage first opens
+    # its executor; the message names the parallel backend to use instead
+    with pytest.raises(ValueError, match="threads"):
+        ExecContext(executor=spec)
 
 
-def test_engine_policy_off_under_processes():
+def test_engine_policy():
     from repro.metrics import get_metric
 
     metric = get_metric("euclidean")
     X = np.zeros((4, 3))
     assert ExecContext().engine_active(metric, X)
-    assert not ExecContext(executor="processes").engine_active(metric, X)
     assert not ExecContext(engine=False).engine_active(metric, X)
+    assert not ExecContext().engine_active(get_metric("edit"), ["ab", "cd"])
 
 
 # -------------------------------------------------------------- timing recorder

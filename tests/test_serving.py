@@ -1,4 +1,4 @@
-"""The streaming serving layer: batcher policy, determinism, residency.
+"""The streaming serving layer: batcher policy, determinism, lifecycle.
 
 Three contracts matter:
 
@@ -8,14 +8,11 @@ Three contracts matter:
   a results decision;
 * **latency** — the adaptive batcher honors its ``max_delay_ms`` budget,
   including under bursty arrival traces;
-* **residency hygiene** — shared-memory segments pinned for a serving
-  session are all unlinked by ``close()``, also when the stream dies
-  mid-flight.
+* **lifecycle** — a thread-backed session serves exact answers, and
+  ``close()`` is idempotent.
 """
 
 from __future__ import annotations
-
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -24,7 +21,7 @@ from repro import BatchPolicy, ExactRBC, OneShotRBC, StreamingSearcher
 from repro.baselines import BruteForceIndex
 from repro.eval import streamed_query
 from repro.runtime import ExecContext, StreamReport
-from repro.serving import DatasetResidency, QueryBatcher
+from repro.serving import QueryBatcher
 
 
 @pytest.fixture
@@ -287,63 +284,14 @@ def test_poll_flushes_past_deadline(served_index):
         assert answer is not None
 
 
-# ------------------------------------------------------- residency hygiene
+# ------------------------------------------------------------- lifecycle
 
 
-def _segments_all_unlinked(names):
-    for name in names:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-
-def test_close_releases_shared_segments(rng):
-    X = rng.normal(size=(400, 8))
-    Q = rng.normal(size=(8, 8))
-    index = ExactRBC(seed=0).build(X)
-    ctx = ExecContext(executor="processes", n_workers=2)
-    server = StreamingSearcher(index, k=2, ctx=ctx)
-    try:
-        assert server.residency.active
-        names = server.residency.segment_names()
-        assert names  # database and representative block are pinned
-        report = server.search_stream(Q, qps=500.0)
-        assert report.n_queries == 8
-    finally:
-        server.close()
-    assert server.residency.segment_names() == []
-    _segments_all_unlinked(names)
-    server.close()  # idempotent
-
-
-def test_midstream_exception_releases_segments(rng):
-    X = rng.normal(size=(300, 6))
-    index = ExactRBC(seed=0).build(X)
-    ctx = ExecContext(executor="processes", n_workers=2)
-    names = []
-    with pytest.raises(ValueError, match="nondecreasing"):
-        with StreamingSearcher(index, k=1, ctx=ctx) as server:
-            names = server.residency.segment_names()
-            assert names
-            # a malformed trace aborts the stream mid-setup
-            server.search_stream(
-                np.zeros((2, 6)), arrival_times=np.array([1.0, 0.0])
-            )
-    _segments_all_unlinked(names)
-
-
-def test_thread_backend_sessions_pin_nothing(served_index):
+def test_thread_backend_session_close_is_idempotent(served_index):
     index, Q = served_index
     with StreamingSearcher(
         index, k=1, ctx=ExecContext(executor="threads", n_workers=2)
     ) as server:
-        assert not server.residency.active
-        server.search_stream(Q[:16], qps=1000.0)
-
-
-def test_residency_release_is_idempotent(rng):
-    X = rng.normal(size=(200, 5))
-    index = ExactRBC(seed=0).build(X)
-    res = DatasetResidency(index, ExecContext(executor="processes"))
-    assert res.active
-    assert res.release() >= 1
-    assert res.release() == 0
+        report = server.search_stream(Q[:16], qps=1000.0)
+    np.testing.assert_array_equal(report.idx, index.query(Q[:16], k=1)[1])
+    server.close()  # idempotent
